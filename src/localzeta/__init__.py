@@ -23,6 +23,7 @@ from .errors import (
     DegenerateTaps,
     DegreeViolation,
     IntegralityError,
+    InvariantViolation,
     InvalidPrime,
     LocalZetaError,
     NegativeShift,

@@ -199,8 +199,7 @@ def _cmd_verify(config: RunConfig, ctx: PAdicContext) -> tuple[int, str]:
     except LocalZetaError:
         dense = None
     if dense is not None and z_tree.shift >= 0:
-        coeffs = coeff_stream(z_tree, config.max_m)
-        counts = counts_from_coeffs(coeffs, ctx, config.max_m)
+        counts = counts_from_coeffs(expanded, ctx, config.max_m)
         ok = all(
             0 <= counts[n + 1] <= ctx.p * counts[n] for n in range(len(counts) - 1)
         )

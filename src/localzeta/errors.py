@@ -53,6 +53,10 @@ class NonIntegralCount(LocalZetaError):
     """A solution count came out non-integral or negative (upstream bug)."""
 
 
+class InvariantViolation(LocalZetaError):
+    """An internal consistency check failed (upstream bug); the message names the stage."""
+
+
 class NonIntegerCoefficients(LocalZetaError):
     """Brute-force counting needs integer coefficients."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import PoleAtPoint
+from .errors import InvariantViolation, PoleAtPoint
 
 Coeffs = Sequence[Fraction | int]
 
@@ -155,8 +155,10 @@ def make_ratfunc(num: Coeffs, den: Coeffs) -> RationalFunctionT:
     if len(g) > 1:
         qn, rn = poly_divmod(ni, g)
         qd, rd = poly_divmod(di, g)
-        assert poly_is_zero(rn) and poly_is_zero(rd)
-        assert all(c.denominator == 1 for c in qn + qd)  # Gauss: quotients stay integral
+        if not (poly_is_zero(rn) and poly_is_zero(rd)):
+            raise InvariantViolation("make_ratfunc: the gcd leaves a remainder")
+        if any(c.denominator != 1 for c in qn + qd):  # Gauss: quotients stay integral
+            raise InvariantViolation("make_ratfunc: a quotient by the gcd is not integral")
         ni = [int(c) for c in qn]
         di = [int(c) for c in qd]
     scale = math.gcd(_content(ni), _content(di))

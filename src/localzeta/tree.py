@@ -36,11 +36,15 @@ class Vertex:
 
 @dataclass(frozen=True)
 class WeightedTree:
-    p: int
+    ctx: PAdicContext
     l_f: int
     vertices: tuple[Vertex, ...]
     levels: tuple[tuple[int, ...], ...]
     root: int = 0
+
+    @property
+    def p(self) -> int:
+        return self.ctx.p
 
 
 def build_tree(fplus: FactoredPoly, ctx: PAdicContext, l_f: int) -> WeightedTree:
@@ -101,7 +105,7 @@ def build_tree(fplus: FactoredPoly, ctx: PAdicContext, l_f: int) -> WeightedTree
     levels = tuple(
         tuple(ids[(m, r)] for r in sorted(weights[m])) for m in range(depth + 1)
     )
-    return WeightedTree(p=p, l_f=l_f, vertices=tuple(vertices), levels=levels)
+    return WeightedTree(ctx=ctx, l_f=l_f, vertices=tuple(vertices), levels=levels)
 
 
 def minimal_weight_one_set(tree: WeightedTree) -> set[int]:
@@ -181,7 +185,7 @@ def tree_from_json(doc: dict | str) -> WeightedTree:
         tuple(v.id for v in vertices if v.level == m) for m in range(depth + 1)
     )
     return WeightedTree(
-        p=int(doc["p"]),
+        ctx=PAdicContext(int(doc["p"])),
         l_f=int(doc["l_f"]),
         vertices=vertices,
         levels=levels,

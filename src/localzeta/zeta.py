@@ -13,15 +13,25 @@ Both produce a ``ZetaFunction``: a t-power shift plus a list of terms
 the variable t = p**(-s).  ``normalize`` combines the terms into a single
 canonical rational function, and ``poincare`` derives the generating
 series of the normalized solution counts from it.
+
+Both work in integers only.  With 1 - t**b/p = (p - t**b)/p, the term sum
+is num / (L * t**k * prod_b (p - t**b)) for one integer scale L and k the
+negated shift (when negative).  Each t**b - p is Eisenstein at p, hence
+irreducible over Q, and distinct b give distinct factors, so the
+denominator's factorisation is known and its gcd with num needs no
+Euclid: one exact division by each p - t**b that divides num, and
+min(k, ord_t num) powers of t.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate, zip_longest
 
-from .errors import RecursionDepthExceeded
+from .errors import InvariantViolation, RecursionDepthExceeded
 from .padic import PAdicContext
 from .polynomials import (
     DensePoly,
@@ -30,17 +40,7 @@ from .polynomials import (
     find_rational_roots,
     reduce_to_integral_roots,
 )
-from .ratfunc import (
-    RationalFunctionT,
-    make_ratfunc,
-    poly_add,
-    poly_divmod,
-    poly_is_zero,
-    poly_mul,
-    poly_shift,
-    poly_sub,
-    rf_format,
-)
+from .ratfunc import RationalFunctionT, rf_format
 from .tree import Vertex, WeightedTree, build_tree, minimal_weight_one_set
 
 Roots = tuple[tuple[Fraction, int], ...]
@@ -150,8 +150,11 @@ def vertex_term(
 
 
 def generating_function(tree: WeightedTree, shift: int = 0) -> ZetaFunction:
-    """Sum of the vertex terms of the tree, with the global t-shift attached."""
-    ctx = PAdicContext(tree.p)
+    """Sum of the vertex terms of the tree, with the global t-shift attached.
+
+    The tree's own context is reused, so p is not proved prime again.
+    """
+    ctx = tree.ctx
     minimal = minimal_weight_one_set(tree)
     terms = []
     for v in tree.vertices:
@@ -236,48 +239,123 @@ def compute_zeta(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _denominator_factor(p: int, b: int) -> list[Fraction]:
-    """Coefficients of 1 - t**b / p."""
-    return [Fraction(1)] + [Fraction(0)] * (b - 1) + [Fraction(-1, p)]
+def _mul_binomial(a: list[int], p: int, b: int) -> list[int]:
+    """a(t) * (p - t**b)."""
+    out = [p * c for c in a] + [0] * b
+    for i, c in enumerate(a):
+        out[i + b] -= c
+    return out
+
+
+def _div_binomial(a: list[int], p: int, b: int) -> list[int] | None:
+    """a(t) / (p - t**b) when the division is exact, else None.
+
+    The divisor's leading coefficient is -1, so the quotient of an integer
+    polynomial stays integral and the remainder test needs no Fraction.
+    """
+    top = len(a) - 1 - b
+    if top < 0:
+        return None
+    r = list(a)
+    q = [0] * (top + 1)
+    for j in range(top, -1, -1):
+        q[j] = -r[j + b]
+        r[j] += p * r[j + b]
+    return None if any(r[:b]) else q
+
+
+def _combined(z: ZetaFunction) -> tuple[list[int], int, int, list[int]]:
+    """Z = num / (scale * t**k * prod_b (p - t**b)), all in integers.
+
+    Each coefficient is scaled by the lcm of their denominators, each
+    factor 1 - t**b/p is written (p - t**b)/p, and the terms are summed
+    per den_pow before the bucket is multiplied by the other factors.
+    """
+    p = z.ctx.p
+    bs = sorted({t.den_pow for t in z.terms if t.den_pow})
+    scale = math.lcm(*(t.coeff.denominator for t in z.terms))
+    buckets: dict[int, list[int]] = {b: [] for b in [0, *bs]}
+    for term in z.terms:
+        bucket = buckets[term.den_pow]
+        if len(bucket) <= term.t_pow:
+            bucket.extend([0] * (term.t_pow + 1 - len(bucket)))
+        c = term.coeff.numerator * (scale // term.coeff.denominator)
+        bucket[term.t_pow] += c * p if term.den_pow else c
+    num: list[int] = []
+    for b, part in buckets.items():
+        for other in bs:
+            if other != b:
+                part = _mul_binomial(part, p, other)
+        num = [x + y for x, y in zip_longest(num, part, fillvalue=0)]
+    if z.shift >= 0:
+        return [0] * z.shift + num, scale, 0, bs
+    return num, scale, -z.shift, bs
+
+
+def _expand_den(scale: int, k: int, bs: list[int], p: int) -> list[int]:
+    den = [0] * k + [scale]
+    for b in bs:
+        den = _mul_binomial(den, p, b)
+    return den
+
+
+def _canonical(
+    num: list[int], scale: int, k: int, bs: list[int], p: int
+) -> RationalFunctionT:
+    """Canonical form of num / (scale * t**k * prod_b (p - t**b)).
+
+    The denominator's factorisation over Q is known: t, and the distinct
+    irreducible p - t**b (Eisenstein at p), each once.  The gcd with num
+    is therefore the product of the factors that divide num, with t taken
+    min(k, ord_t num) times.  The denominator's lowest coefficient,
+    scale * p**m, is positive, so only the joint content is left to divide.
+    """
+    while num and num[-1] == 0:
+        num.pop()
+    if not num:
+        return RationalFunctionT((0,), (1,))
+    kept = []
+    for b in bs:
+        quot = _div_binomial(num, p, b)
+        if quot is None:
+            kept.append(b)
+        else:
+            num = quot
+    cut = min(k, next(i for i, c in enumerate(num) if c))
+    num = num[cut:]
+    den = _expand_den(scale, k - cut, kept, p)
+    g = math.gcd(*num, *den)
+    return RationalFunctionT(tuple(c // g for c in num), tuple(c // g for c in den))
 
 
 def normalize(z: ZetaFunction) -> RationalFunctionT:
     """Combine the terms over the common denominator prod (1 - t**b / p).
 
     A nonnegative shift multiplies the numerator by t**shift; a negative
-    one multiplies the denominator by t**(-shift).
+    one multiplies the denominator by t**(-shift).  The arithmetic is in
+    integers throughout, and the gcd comes from the known factors of the
+    denominator (see ``_canonical``), so no polynomial Euclid runs; the
+    result equals ``make_ratfunc`` of the same quotient bit for bit.
     """
-    p = z.ctx.p
-    bs = sorted({t.den_pow for t in z.terms if t.den_pow})
-    factors = {b: _denominator_factor(p, b) for b in bs}
-    den = [Fraction(1)]
-    for b in bs:
-        den = poly_mul(den, factors[b])
-    num = [Fraction(0)]
-    for term in z.terms:
-        part = poly_shift([term.coeff], term.t_pow)
-        for b in bs:
-            if b != term.den_pow:
-                part = poly_mul(part, factors[b])
-        num = poly_add(num, part)
-    if z.shift >= 0:
-        num = poly_shift(num, z.shift)
-    else:
-        den = poly_shift(den, -z.shift)
-    return make_ratfunc(num, den)
+    return _canonical(*_combined(z), z.ctx.p)
 
 
 def poincare(z: ZetaFunction) -> RationalFunctionT:
     """H(t) = (1 - t*Z(t)) / (1 - t), with the forced (1 - t) cancellation.
 
     Z(1) = 1 (the residue classes exhaust a set of measure one), so 1 - t
-    always divides 1 - t*Z exactly; this is asserted, not assumed.
+    always divides 1 - t*Z exactly; this is checked, and a nonzero
+    remainder raises InvariantViolation.  With Z = num/den uncancelled,
+    H = ((den - t*num) / (1 - t)) / den, and den has the same known
+    factors as in ``normalize``, so the same cancellation applies.
     """
-    rf = normalize(z)
-    num = poly_sub(rf.denominator, poly_shift(rf.numerator, 1))
-    quot, rem = poly_divmod(num, [Fraction(1), Fraction(-1)])
-    assert poly_is_zero(rem), "total measure is not 1; upstream bug"
-    return make_ratfunc(quot, rf.denominator)
+    p = z.ctx.p
+    num, scale, k, bs = _combined(z)
+    den = _expand_den(scale, k, bs, p)
+    quot = list(accumulate(x - y for x, y in zip_longest(den, [0, *num], fillvalue=0)))
+    if quot.pop():
+        raise InvariantViolation("poincare: total measure is not 1; upstream bug")
+    return _canonical(quot, scale, k, bs, p)
 
 
 # ---------------------------------------------------------------------------

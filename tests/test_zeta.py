@@ -1,8 +1,18 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import localzeta
+import localzeta.padic
 
 from localzeta import (
     RF_ONE,
@@ -34,8 +44,9 @@ from localzeta import (
     zeta_text,
     zeta_to_json,
 )
-from localzeta.errors import PoleAtPoint, RecursionDepthExceeded
-from localzeta.ratfunc import poly_divmod, poly_is_zero, poly_mul
+from localzeta.cli import main
+from localzeta.errors import InvariantViolation, PoleAtPoint, RecursionDepthExceeded
+from localzeta.ratfunc import poly_divmod, poly_is_zero, poly_mul, poly_shift, poly_sub
 from localzeta.zeta import _spf_terms
 
 F = Fraction
@@ -339,6 +350,123 @@ def test_poincare_square_series_matches_counts():
     series = rf_series(h, 6)
     counts = [1, 1, 3, 3, 9, 9]
     assert series == [F(n, 3**m) for m, n in enumerate(counts)]
+
+
+@st.composite
+def zeta_cases(draw):
+    """Z of a random root multiset: towers a, a + p**k, roots with p in the
+    denominator (a negative shift), a unit with p-content, either method.
+
+    Every term of a computed Z has a positive coefficient, so no factor
+    p - t**b of its denominator ever cancels.  To reach that branch, some
+    cases get three extra terms that sum to zero:
+    c t**a / (1 - t**b/p) - (c/p) t**(a+b) / (1 - t**b/p) - c t**a.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 101]))
+    roots = {}
+    for _ in range(draw(st.integers(1, 4))):
+        a = F(draw(st.integers(-30, 30)))
+        kind = draw(st.sampled_from(["integer", "tower", "p-denominator"]))
+        if kind == "tower" and roots:
+            a = draw(st.sampled_from(sorted(roots))) + p ** draw(st.integers(1, 5))
+        elif kind == "p-denominator":
+            a = a / p ** draw(st.integers(1, 2))
+        roots[a] = draw(st.integers(1, 4))
+    unit = draw(st.sampled_from([F(1), F(p), F(1, p)]))
+    method = draw(st.sampled_from(["tree", "spf"]))
+    z = compute_zeta(FactoredPoly(unit, tuple(roots.items())), PAdicContext(p), method)
+    if draw(st.booleans()):
+        c = F(draw(st.integers(-50, 50).filter(bool)), p ** draw(st.integers(0, 3)))
+        a, b = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+        zero = (ZetaTerm(c, a, b), ZetaTerm(-c / p, a + b, b), ZetaTerm(-c, a, 0))
+        z = replace(z, terms=z.terms + zero)
+    return z
+
+
+def folded_normal_form(z):
+    """Each term as its own rational function, summed with rf_add."""
+    p = z.ctx.p
+    total = make_ratfunc([0], [1])
+    for t in z.terms:
+        den = [F(1)] + [F(0)] * (t.den_pow - 1) + [F(-1, p)] if t.den_pow else [F(1)]
+        total = rf_add(total, make_ratfunc([F(0)] * t.t_pow + [t.coeff], den))
+    if z.shift >= 0:
+        return rf_mul(total, rf_from_poly([0] * z.shift + [1]))
+    return rf_mul(total, make_ratfunc([1], [0] * -z.shift + [1]))
+
+
+def divided_poincare(rf):
+    """(1 - t*Z)/(1 - t) by polynomial division over Q, then make_ratfunc."""
+    quot, rem = poly_divmod(poly_sub(rf.denominator, poly_shift(rf.numerator, 1)), [1, -1])
+    assert poly_is_zero(rem)
+    return make_ratfunc(quot, rf.denominator)
+
+
+def cancelled_factors(z, rf):
+    """Which known denominator factors, t or some p - t**b, rf has lost."""
+    p = z.ctx.p
+    lost = set()
+    if z.shift < 0 and next(i for i, c in enumerate(rf.denominator) if c) < -z.shift:
+        lost.add("t")
+    for b in {t.den_pow for t in z.terms if t.den_pow}:
+        _, rem = poly_divmod(rf.denominator, [p] + [0] * (b - 1) + [-1])
+        if not poly_is_zero(rem):
+            lost.add("p - t^b")
+    return lost
+
+
+def test_normal_form_matches_generic_fold():
+    reached = dict.fromkeys(["Z t", "Z p - t^b", "H t", "H p - t^b"], 0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(zeta_cases())
+    def check(z):
+        rf = folded_normal_form(z)
+        h = poincare(z)
+        assert normalize(z) == rf
+        assert h == divided_poincare(rf)
+        for name, value in (("Z", rf), ("H", h)):
+            for factor in cancelled_factors(z, value):
+                reached[f"{name} {factor}"] += 1
+
+    check()
+    assert all(reached.values()), reached
+
+
+def test_poincare_measure_check_survives_optimize():
+    # Z = 1/3 has total measure 1/3; the check must not be a bare assert
+    code = (
+        "from fractions import Fraction\n"
+        "from localzeta import InvariantViolation, PAdicContext, ZetaFunction, ZetaTerm, poincare\n"
+        "z = ZetaFunction(PAdicContext(3), 0, (ZetaTerm(Fraction(1, 3), 0, 0),))\n"
+        "try:\n"
+        "    poincare(z)\n"
+        "except InvariantViolation as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = str(Path(localzeta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.startswith("raised: poincare: total measure is not 1")
+
+
+def test_make_ratfunc_checks_the_gcd_division(monkeypatch):
+    monkeypatch.setattr(localzeta.ratfunc, "poly_gcd", lambda a, b: [1, 1])
+    with pytest.raises(InvariantViolation, match="make_ratfunc"):
+        make_ratfunc([1], [2, 1])
+
+
+def test_tree_evaluation_proves_the_prime_once(monkeypatch, capsys):
+    p = 1000000000039
+    calls = []
+    is_prime = localzeta.padic.is_prime
+    monkeypatch.setattr(localzeta.padic, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    argv = ["zeta", "--poly", "(x-1)^2*(x-4)", "--prime", str(p), "--brute-cap", str(p)]
+    assert main(argv) == 0
+    assert calls == [p]
+    assert "Z = " in capsys.readouterr().out
 
 
 def test_rf_eval_examples():
