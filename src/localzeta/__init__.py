@@ -26,6 +26,7 @@ from .errors import (
     InvariantViolation,
     InvalidPrime,
     LocalZetaError,
+    MalformedDocument,
     NegativeShift,
     NegativeValuation,
     NonIntegerCoefficients,

@@ -57,6 +57,10 @@ class InvariantViolation(LocalZetaError):
     """An internal consistency check failed (upstream bug); the message names the stage."""
 
 
+class MalformedDocument(LocalZetaError):
+    """A JSON document does not describe a valid object; the message names the reader."""
+
+
 class NonIntegerCoefficients(LocalZetaError):
     """Brute-force counting needs integer coefficients."""
 

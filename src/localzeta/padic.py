@@ -6,6 +6,10 @@ the explicit sentinel ``INFINITY`` (never a large integer).  Digit
 expansions x = a_0 + a_1*p + a_2*p**2 + ... are stored least-significant
 first and computed with the modular-inverse recursion, so they are exact
 for any rational whose denominator is coprime to p.
+
+The prime is validated once, when a context is built (``is_prime``): the
+check is a proof for p < 3317044064679887385961981 and the Baillie-PSW
+test above that bound.
 """
 
 from __future__ import annotations
@@ -19,42 +23,102 @@ from .errors import InvalidPrime, NegativeValuation, NotInvertible
 #: Sentinel value of v_p(0).
 INFINITY = math.inf
 
-_TRIAL_LIMIT = 10**6
-# Strong-pseudoprime witnesses; deterministic for n < 3.3e24.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes: trial divisors and strong-test bases alike.  Strong
+# tests to these bases are a proof for n < 3317044064679887385961981, the
+# least strong pseudoprime to all of them (Sorenson-Webster, OEIS A014233).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_strong_probable_prime(n: int, a: int) -> bool:
+    """Strong (Miller-Rabin) test of odd n > a to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of odd n > 2 with Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
+    P = 1 and Q = (1 - D)/4; writing n + 1 = d * 2**s with d odd, n passes
+    when U_d = 0 or V_{d*2**r} = 0 (mod n) for some 0 <= r < s.  Squares
+    fail (no such D exists), and so does n sharing a factor with some D.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        g = math.gcd(D, n)
+        if 1 < g < n:
+            return False
+        if _jacobi(D, n) == -1:
+            break
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # binary ladder over the bits of d: (U_k, V_k, Q**k) with P = 1
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = u + v, D * u + v
+            u = (u + n if u % 2 else u) // 2 % n
+            v = (v + n if v % 2 else v) // 2 % n
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality check (trial division, then strong tests)."""
+    """Primality by trial division, strong tests and a strong Lucas test.
+
+    Every n runs the same three steps: trial division by the primes up to
+    41, strong tests to those 13 bases, and one strong Lucas test with
+    Selfridge's parameters.  The strong tests alone are a proof below
+    3317044064679887385961981; above it the combination is the Baillie-PSW
+    test, which has no known counterexample.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    limit = math.isqrt(n)
-    f = 3
-    while f <= limit and f < _TRIAL_LIMIT:
-        if n % f == 0:
-            return False
-        f += 2
-    if limit < _TRIAL_LIMIT:
-        return True
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    return all(_is_strong_probable_prime(n, a) for a in _SMALL_PRIMES) and (
+        _is_strong_lucas_probable_prime(n)
+    )
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,14 @@ Factored polynomials are unit * prod (x - root_i)**mult_i with pairwise
 distinct roots, which is the canonical input for everything downstream.
 Factorization over Q is complete for the supported input class (all roots
 rational): candidates a/b with a dividing the primitive integer form's
-constant coefficient and b its leading coefficient are tested smallest
-first and divided out to full multiplicity.
+constant coefficient, b its leading coefficient and |a/b| within
+Fujiwara's root bound are tested smallest first, in integers, and divided
+out to full multiplicity.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -290,21 +292,24 @@ def parse_poly(text: str) -> DensePoly | FactoredPoly:
 # ---------------------------------------------------------------------------
 
 
-def _divmod_linear(coeffs: list[Fraction], r: Fraction) -> tuple[list[Fraction], Fraction]:
-    """Divide by (x - r): quotient coefficients and remainder."""
-    acc = Fraction(0)
-    quotient = [Fraction(0)] * (len(coeffs) - 1)
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = coeffs[i] + r * acc
-        quotient[i - 1] = acc
-    return quotient, coeffs[0] + r * acc
-
-
-def _eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
+def _scaled_value(ints: list[int], a: int, b: int) -> int:
+    """b**d * P(a/b) for the integer polynomial P of degree d."""
+    acc = ints[-1]
+    scale = 1
+    for c in reversed(ints[:-1]):
+        scale *= b
+        acc = acc * a + c * scale
     return acc
+
+
+def _divide_linear(ints: list[int], a: int, b: int) -> list[int]:
+    """P / (b*x - a) for an integer P with P(a/b) = 0 and b*x - a primitive."""
+    quotient = [0] * (len(ints) - 1)
+    acc = 0
+    for i in range(len(ints) - 1, 0, -1):
+        acc = (ints[i] + a * acc) // b
+        quotient[i - 1] = acc
+    return quotient
 
 
 def _brent_rho(n: int) -> int:
@@ -371,44 +376,91 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def _divisor_count(factors: dict[int, int]) -> int:
-    count = 1
-    for e in factors.values():
-        count *= e + 1
-    return count
+def _divisors_upto(factors: dict[int, int], limit: int) -> list[int]:
+    """Sorted divisors d <= limit, pruned as they are built.
 
-
-def _divisors(factors: dict[int, int]) -> list[int]:
+    Stops with CandidateOverflow once more than PAIR_CAP divisors qualify,
+    so a full divisor set of 2**k (k distinct primes) is never formed.
+    """
     out = [1]
     for p, e in factors.items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return out
+        grown = []
+        for d in out:
+            for _ in range(e + 1):
+                if d > limit:
+                    break
+                grown.append(d)
+                d *= p
+        if len(grown) > PAIR_CAP:
+            raise CandidateOverflow(
+                f"more than {PAIR_CAP} divisors up to {limit}"
+            )
+        out = grown
+    return sorted(out)
 
 
 def _small_divisors(n: int, bound: int) -> list[int]:
     return [d for d in range(1, min(n, bound) + 1) if n % d == 0] or [1]
 
 
-def _candidate_values(c0: int, cd: int):
-    """Positive candidate roots a/b (a | c0, b | cd), small ones first.
+def _iroot_ceil(n: int, k: int) -> int:
+    """The least r >= 0 with r**k >= n."""
+    if n <= 1:
+        return max(n, 0)
+    r = 1 << -(-n.bit_length() // k)  # r**k > n
+    while True:  # integer Newton from above converges to floor(n**(1/k))
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r**k >= n else r + 1
 
-    Phase 1 scans divisors up to a fixed bound without factoring anything;
-    phase 2 (reached only when phase 1 was not enough) enumerates the full
-    divisor sets, subject to the pair cap.
+
+def _root_bound(ints: list[int]) -> int:
+    """An integer B with |z| <= B for every complex root z (Fujiwara's bound).
+
+    B = 2 * max(|c_{d-1}/c_d|, |c_{d-2}/c_d|**(1/2), ..., |c_0/(2 c_d)|**(1/d)),
+    with each term rounded up to an integer.
     """
+    d = len(ints) - 1
+    lead = abs(ints[-1])
+    best = 0
+    for i in range(1, d + 1):
+        scale = 2 * lead if i == d else lead
+        best = max(best, _iroot_ceil(-(-abs(ints[d - i]) // scale), i))
+    return 2 * best
+
+
+def _candidate_values(ints: list[int]):
+    """Positive candidate roots (a, b), coprime, a | c_0, b | c_d, small a/b first.
+
+    Only pairs with a/b within the root bound are produced.  Phase 1 scans
+    divisors up to a fixed bound without factoring anything; phase 2
+    (reached only when phase 1 was not enough) factors c_0 and c_d and
+    builds only the divisors of c_0 up to the root bound times the largest
+    divisor of c_d, so only pairs that could be roots count against the
+    pair cap.
+    """
+    c0, cd = abs(ints[0]), abs(ints[-1])
+    bound = _root_bound(ints)
     tried = 0
 
     def pairs(nums, dens, skip_small):
         nonlocal tried
         values = []
         for b in dens:
-            for a in nums:
+            for a in nums:  # ascending
+                if a > bound * b:
+                    break
                 if math.gcd(a, b) != 1:
                     continue
                 if skip_small and a <= _SMALL_CANDIDATE and b <= _SMALL_CANDIDATE:
                     continue
-                values.append(Fraction(a, b))
-        values.sort()
+                values.append((a, b))
+        # distinct a/b with b <= D differ by at least 1/D**2, so scaling by
+        # 2*D**2 and flooring keeps their order exactly
+        scale = 2 * max(dens) ** 2
+        values.sort(key=lambda ab: ab[0] * scale // ab[1])
         for value in values:
             tried += 1
             if tried > PAIR_CAP:
@@ -419,13 +471,14 @@ def _candidate_values(c0: int, cd: int):
 
     yield from pairs(_small_divisors(c0, _SMALL_CANDIDATE),
                      _small_divisors(cd, _SMALL_CANDIDATE), False)
-    num_factors = _factorize(c0)
-    den_factors = _factorize(cd)
-    if _divisor_count(num_factors) * _divisor_count(den_factors) > PAIR_CAP:
+    dens = _divisors_upto(_factorize(cd), cd)
+    nums = _divisors_upto(_factorize(c0), bound * dens[-1])
+    if sum(bisect.bisect_right(nums, bound * b) for b in dens) > PAIR_CAP:
         raise CandidateOverflow(
-            f"more than {PAIR_CAP} divisor pairs of {c0} and {cd}"
+            f"more than {PAIR_CAP} divisor pairs of {c0} and {cd} "
+            f"below the root bound {bound}"
         )
-    yield from pairs(_divisors(num_factors), _divisors(den_factors), True)
+    yield from pairs(nums, dens, True)
 
 
 def _primitive_integer_form(coeffs: list[Fraction]) -> list[int]:
@@ -460,16 +513,18 @@ def find_rational_roots(f: DensePoly) -> FactoredPoly:
     if zeros:
         roots.append((Fraction(0), zeros))
     if len(work) > 1:
-        ints = _primitive_integer_form(work)
-        c0, cd = abs(ints[0]), abs(ints[-1])
-        for value in _candidate_values(c0, cd):
-            for cand in (value, -value):
+        # Test a/b on the primitive integer form P by b**d * P(a/b) = 0 and
+        # divide by (b*x - a); by Gauss's lemma each quotient is again a
+        # primitive integer polynomial.
+        work = _primitive_integer_form(work)
+        for num, b in _candidate_values(work):
+            for a in (num, -num):
                 mult = 0
-                while len(work) > 1 and _eval(work, cand) == 0:
-                    work, _ = _divmod_linear(work, cand)
+                while len(work) > 1 and _scaled_value(work, a, b) == 0:
+                    work = _divide_linear(work, a, b)
                     mult += 1
                 if mult:
-                    roots.append((cand, mult))
+                    roots.append((Fraction(a, b), mult))
             if len(work) == 1:
                 break
     if len(work) > 1:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 
-from .errors import InvariantViolation, RecursionDepthExceeded
+from .errors import InvariantViolation, MalformedDocument, RecursionDepthExceeded
 from .padic import PAdicContext
 from .polynomials import (
     DensePoly,
@@ -410,11 +410,14 @@ def zeta_from_json(doc: dict | str) -> ZetaFunction:
     """Inverse of zeta_to_json (the derived `normalized` block is ignored)."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    return ZetaFunction(
-        ctx=PAdicContext(int(doc["p"])),
-        shift=int(doc["shift"]),
-        terms=tuple(
-            ZetaTerm(Fraction(t["coeff"]), int(t["t_pow"]), int(t["den_pow"]))
-            for t in doc["terms"]
-        ),
+    terms = tuple(
+        ZetaTerm(Fraction(t["coeff"]), int(t["t_pow"]), int(t["den_pow"]))
+        for t in doc["terms"]
     )
+    for i, term in enumerate(terms):
+        if term.t_pow < 0 or term.den_pow < 0:
+            raise MalformedDocument(
+                f"zeta_from_json: term {i} has t_pow = {term.t_pow} and "
+                f"den_pow = {term.den_pow}; both must be >= 0"
+            )
+    return ZetaFunction(ctx=PAdicContext(int(doc["p"])), shift=int(doc["shift"]), terms=terms)

@@ -138,6 +138,11 @@ def test_domain_errors_exit_one(capsys):
     assert status == 1 and "ParseError" in err
     status, _, err = run_cli(capsys, "zeta", "--poly", "x", "--prime", "4")
     assert status == 1 and "InvalidPrime" in err
+    # 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37
+    status, _, err = run_cli(
+        capsys, "zeta", "--poly", "(x-1)*(x-2)", "--prime", "318665857834031151167461"
+    )
+    assert status == 1 and "InvalidPrime" in err
     status, _, err = run_cli(
         capsys, "count", "--poly", "x", "--prime", "3", "--max-m", "030",
         "--method", "brute",

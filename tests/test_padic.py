@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from localzeta import (
     padic_expand,
     vp,
 )
+from localzeta.padic import _is_strong_lucas_probable_prime
 
 
 def test_context_accepts_primes():
@@ -32,6 +34,85 @@ def test_primality_beyond_trial_division():
     # 2^61 - 1 is prime, 2^59 - 1 = 179951 * 3203431780337 is not
     assert is_prime(2**61 - 1)
     assert not is_prime(2**59 - 1)
+
+
+# Composite terms of OEIS A014233: the least strong pseudoprime to all of the
+# first k prime bases, k = 1..13.  The last is a strong pseudoprime to every
+# base up to 41, so only the Lucas step rejects it.
+A014233_COMPOSITES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+# A217255: the odd composites below 10^5 that pass the strong Lucas test
+# with Selfridge's parameters.
+STRONG_LUCAS_PSEUDOPRIMES = (
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+)
+
+
+def _sieve(n):
+    flags = bytearray([1]) * n
+    flags[:2] = b"\0\0"
+    for q in range(2, math.isqrt(n - 1) + 1):
+        if flags[q]:
+            flags[q * q :: q] = bytes(len(range(q * q, n, q)))
+    return flags
+
+
+def test_strong_pseudoprimes_to_the_first_prime_bases_are_rejected():
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes the
+    # strong tests to every prime base up to 37
+    assert 399165290221 * 798330580441 == A014233_COMPOSITES[-2]
+    for n in A014233_COMPOSITES:
+        assert not is_prime(n)
+        with pytest.raises(InvalidPrime):
+            PAdicContext(n)
+
+
+def test_strong_lucas_pseudoprimes_below_1e5():
+    prime = _sieve(10**5)
+    passing = [
+        n for n in range(3, 10**5, 2) if not prime[n] and _is_strong_lucas_probable_prime(n)
+    ]
+    assert passing == list(STRONG_LUCAS_PSEUDOPRIMES)
+    assert all(_is_strong_lucas_probable_prime(n) for n in range(3, 10**5, 2) if prime[n])
+
+
+def _primality_oracle_inputs():
+    rng = random.Random(2024)
+    yield from range(2 * 10**5)
+    for lo, hi in ((10**11, 10**13), (2**64, 2**100)):
+        for _ in range(2000):
+            yield rng.randrange(lo, hi) | 1
+    # Carmichael numbers
+    yield from (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041,
+                62745, 63973, 75361, 101101, 126217, 172081, 188461, 252601, 278545,
+                294409, 314821, 334153, 340561, 399001, 410041, 449065, 488881, 512461)
+    yield 2199733160881  # 7 * 13 * 19 * 37 * 73 * 109 * 163, Carmichael
+    # squares of primes above the trial-division range
+    for q in (43, 47, 1093, 3511, 1000003, 2**31 - 1, 2**61 - 1):
+        yield q * q
+    yield from (2**61 - 1, 2**89 - 1, 2**127 - 1, (2**89 - 1) * (2**107 - 1))
+    yield from A014233_COMPOSITES
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in _primality_oracle_inputs():
+        assert is_prime(n) == bool(sympy.isprime(n)), n
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    for n in range(3, 10**4, 2):
+        assert _is_strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
 
 
 def test_vp_examples():

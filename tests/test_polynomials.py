@@ -122,6 +122,21 @@ def test_find_roots_large_prime_numerator():
     assert found == f
 
 
+def test_find_roots_constant_term_with_many_prime_factors(monkeypatch):
+    import localzeta.polynomials as poly_mod
+
+    # the constant term has 22 distinct prime factors, so 2^22 divisors; only
+    # the 16,192 below the root bound count against the pair cap
+    roots = (30030, 215441, 47027, 107113, 241133, 409457)
+    f = FactoredPoly(F(1), tuple((F(r), 1) for r in roots))
+    assert find_rational_roots(f.expand()) == f
+    monkeypatch.setattr(poly_mod, "PAIR_CAP", 16_192)
+    assert find_rational_roots(f.expand()) == f
+    monkeypatch.setattr(poly_mod, "PAIR_CAP", 16_191)
+    with pytest.raises(CandidateOverflow):
+        find_rational_roots(f.expand())
+
+
 def test_find_roots_semiprime_constant_term():
     n = 1_000_003 * 1_000_033
     f = find_rational_roots(DensePoly((F(n), F(-n - 1), F(1))))

@@ -45,7 +45,12 @@ from localzeta import (
     zeta_to_json,
 )
 from localzeta.cli import main
-from localzeta.errors import InvariantViolation, PoleAtPoint, RecursionDepthExceeded
+from localzeta.errors import (
+    InvariantViolation,
+    MalformedDocument,
+    PoleAtPoint,
+    RecursionDepthExceeded,
+)
 from localzeta.ratfunc import poly_divmod, poly_is_zero, poly_mul, poly_shift, poly_sub
 from localzeta.zeta import _spf_terms
 
@@ -507,3 +512,12 @@ def test_zeta_json_round_trip():
     assert doc["p"] == "3"
     assert doc["normalized"]["den"] == ["27", "-9", "-9", "3"]
     assert zeta_from_json(json.dumps(doc)) == z
+
+
+def test_zeta_from_json_rejects_negative_exponents():
+    doc = {"p": "3", "shift": 0, "terms": [{"coeff": "1", "t_pow": -2, "den_pow": 0}]}
+    with pytest.raises(MalformedDocument, match="zeta_from_json"):
+        zeta_from_json(doc)
+    doc["terms"] = [{"coeff": "1", "t_pow": 0, "den_pow": -1}]
+    with pytest.raises(MalformedDocument, match="zeta_from_json"):
+        zeta_from_json(doc)
