@@ -10,7 +10,6 @@ result cross-checkable against a brute-force counting oracle.
 from .counting import (
     DEFAULT_CAP,
     CountSequence,
-    brute_count,
     brute_counts_upto,
     coeff_stream,
     count_sequence,
@@ -29,7 +28,6 @@ from .errors import (
     MalformedDocument,
     NegativeShift,
     NegativeValuation,
-    NonIntegerCoefficients,
     NonIntegralCount,
     NotInvertible,
     ParseError,

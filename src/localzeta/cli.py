@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .counting import (
     DEFAULT_CAP,
@@ -24,10 +23,8 @@ from .errors import LocalZetaError
 from .lfsr import Lfsr, keystream, lfsr_run, period_of
 from .padic import PAdicContext
 from .polynomials import (
-    FactoredPoly,
     as_integer_poly,
     compute_lf,
-    find_rational_roots,
     parse_poly,
     reduce_to_integral_roots,
 )
@@ -47,44 +44,33 @@ from .zeta import compute_zeta, normalize, poincare, zeta_text, zeta_to_json
 ENV_BRUTE_CAP = "LOCALZETA_BRUTE_CAP"
 
 
-@dataclass
-class RunConfig:
-    command: str
-    poly: str | None = None
-    prime: int = 2
-    max_m: int = 8
-    method: str = "tree"
-    format: str = "text"
-    brute_cap: int = DEFAULT_CAP
-    taps: tuple[int, ...] = field(default_factory=tuple)
-    init: tuple[int, ...] = field(default_factory=tuple)
-    steps: int = 16
-    period: bool = False
-
-
-def _default_cap() -> int:
+def _brute_cap(flag: int | None) -> int:
+    """--brute-cap if given, else $LOCALZETA_BRUTE_CAP, else DEFAULT_CAP."""
+    if flag is not None:
+        return flag
     value = os.environ.get(ENV_BRUTE_CAP)
-    return int(value) if value else DEFAULT_CAP
+    if not value:
+        return DEFAULT_CAP
+    try:
+        return int(value)
+    except ValueError:
+        raise LocalZetaError(
+            f"{ENV_BRUTE_CAP} must be an integer, got {value!r}"
+        ) from None
 
 
-def _reduced(config: RunConfig, ctx: PAdicContext):
-    f = parse_poly(config.poly)
-    factored = f if isinstance(f, FactoredPoly) else find_rational_roots(f)
-    return f, reduce_to_integral_roots(factored, ctx)
+def _cmd_zeta(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
+    z = compute_zeta(parse_poly(args.poly), ctx, method=args.method)
+    if args.format == "json":
+        return 0, json.dumps(zeta_to_json(z), indent=2)
+    return 0, zeta_text(z)
 
 
-def _cmd_zeta(config: RunConfig, ctx: PAdicContext) -> str:
-    z = compute_zeta(parse_poly(config.poly), ctx, method=config.method)
-    if config.format == "json":
-        return json.dumps(zeta_to_json(z), indent=2)
-    return zeta_text(z)
-
-
-def _cmd_poincare(config: RunConfig, ctx: PAdicContext) -> str:
-    z = compute_zeta(parse_poly(config.poly), ctx, method=config.method)
+def _cmd_poincare(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
+    z = compute_zeta(parse_poly(args.poly), ctx, method=args.method)
     h = poincare(z)
-    if config.format == "json":
-        return json.dumps(
+    if args.format == "json":
+        return 0, json.dumps(
             {
                 "p": str(ctx.p),
                 "num": [str(c) for c in h.numerator],
@@ -92,14 +78,14 @@ def _cmd_poincare(config: RunConfig, ctx: PAdicContext) -> str:
             },
             indent=2,
         )
-    return f"H = {rf_format(h)}, t = {ctx.p}^(-s)"
+    return 0, f"H = {rf_format(h)}, t = {ctx.p}^(-s)"
 
 
-def _cmd_count(config: RunConfig, ctx: PAdicContext) -> tuple[int, str]:
-    f = parse_poly(config.poly)
-    if config.method != "all":
-        seq = count_sequence(f, ctx, config.max_m, config.method, cap=config.brute_cap)
-        if config.format == "json":
+def _cmd_count(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
+    f = parse_poly(args.poly)
+    if args.method != "all":
+        seq = count_sequence(f, ctx, args.max_m, args.method, cap=args.brute_cap)
+        if args.format == "json":
             doc = {
                 "p": str(ctx.p),
                 "counts": [str(v) for v in seq.counts],
@@ -110,10 +96,10 @@ def _cmd_count(config: RunConfig, ctx: PAdicContext) -> tuple[int, str]:
     columns = {}
     for method in ("tree", "spf", "brute"):
         columns[method] = count_sequence(
-            f, ctx, config.max_m, method, cap=config.brute_cap
+            f, ctx, args.max_m, method, cap=args.brute_cap
         ).counts
     agree = columns["tree"] == columns["spf"] == columns["brute"]
-    if config.format == "json":
+    if args.format == "json":
         doc = {
             "p": str(ctx.p),
             "methods": {k: [str(v) for v in vs] for k, vs in columns.items()},
@@ -121,7 +107,7 @@ def _cmd_count(config: RunConfig, ctx: PAdicContext) -> tuple[int, str]:
         }
         return (0 if agree else 2), json.dumps(doc, indent=2)
     lines = ["m\ttree\tspf\tbrute"]
-    for m in range(config.max_m + 1):
+    for m in range(args.max_m + 1):
         lines.append(
             f"{m}\t{columns['tree'][m]}\t{columns['spf'][m]}\t{columns['brute'][m]}"
         )
@@ -129,49 +115,49 @@ def _cmd_count(config: RunConfig, ctx: PAdicContext) -> tuple[int, str]:
     return (0 if agree else 2), "\n".join(lines)
 
 
-def _cmd_keystream(config: RunConfig, ctx: PAdicContext) -> str:
+def _cmd_keystream(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
     ks = keystream(
-        parse_poly(config.poly), ctx, config.max_m, config.method, cap=config.brute_cap
+        parse_poly(args.poly), ctx, args.max_m, args.method, cap=args.brute_cap
     )
-    if config.format == "json":
-        return json.dumps(ks.to_json(), indent=2)
-    return ks.to_text()
+    if args.format == "json":
+        return 0, json.dumps(ks.to_json(), indent=2)
+    return 0, ks.to_text()
 
 
-def _cmd_tree(config: RunConfig, ctx: PAdicContext) -> str:
-    _, reduced = _reduced(config, ctx)
+def _cmd_tree(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
+    reduced = reduce_to_integral_roots(parse_poly(args.poly), ctx)
     l_f = compute_lf(reduced.fplus, ctx)
     tree = build_tree(reduced.fplus, ctx, l_f)
-    if config.format == "json":
-        return json.dumps(tree_to_json(tree), indent=2)
-    if config.format == "dot":
-        return tree_to_dot(tree)
-    return tree_to_text(tree)
+    if args.format == "json":
+        return 0, json.dumps(tree_to_json(tree), indent=2)
+    if args.format == "dot":
+        return 0, tree_to_dot(tree)
+    return 0, tree_to_text(tree)
 
 
-def _cmd_lfsr(config: RunConfig, ctx: PAdicContext) -> str:
-    register = Lfsr(ctx.p, config.taps, config.init)
-    outputs = lfsr_run(register.copy(), config.steps)
-    period = period_of(register) if config.period else None
-    if config.format == "json":
+def _cmd_lfsr(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
+    register = Lfsr(ctx.p, args.taps, args.init)
+    outputs = lfsr_run(register.copy(), args.steps)
+    period = period_of(register) if args.period else None
+    if args.format == "json":
         doc = {
             "p": str(ctx.p),
-            "taps": list(config.taps),
-            "init": list(config.init),
+            "taps": list(args.taps),
+            "init": list(args.init),
             "outputs": [str(v) for v in outputs],
         }
         if period is not None:
             doc["period"] = period
-        return json.dumps(doc, indent=2)
+        return 0, json.dumps(doc, indent=2)
     lines = ["output: " + " ".join(str(v) for v in outputs)]
     if period is not None:
         lines.append(f"period: {period}")
-    return "\n".join(lines)
+    return 0, "\n".join(lines)
 
 
-def _cmd_verify(config: RunConfig, ctx: PAdicContext) -> tuple[int, str]:
+def _cmd_verify(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
     """All cross-checks on one input, one PASS/FAIL line per check."""
-    f = parse_poly(config.poly)
+    f = parse_poly(args.poly)
     checks: list[tuple[str, bool, str]] = []
 
     z_tree = compute_zeta(f, ctx, method="tree")
@@ -189,8 +175,8 @@ def _cmd_verify(config: RunConfig, ctx: PAdicContext) -> tuple[int, str]:
     checks.append(("(1 - t)H + tZ = 1", rf_equal(identity, RF_ONE), rf_format(h)))
 
     if z_tree.shift >= 0:
-        expanded = coeff_stream(z_tree, config.max_m)
-        divided = rf_series(rf_tree, config.max_m + 1)
+        expanded = coeff_stream(z_tree, args.max_m)
+        divided = rf_series(rf_tree, args.max_m + 1)
         checks.append(
             ("term expansion equals long-division series", expanded == divided, "")
         )
@@ -199,16 +185,16 @@ def _cmd_verify(config: RunConfig, ctx: PAdicContext) -> tuple[int, str]:
     except LocalZetaError:
         dense = None
     if dense is not None and z_tree.shift >= 0:
-        counts = counts_from_coeffs(expanded, ctx, config.max_m)
+        counts = counts_from_coeffs(expanded, ctx, args.max_m)
         ok = all(
             0 <= counts[n + 1] <= ctx.p * counts[n] for n in range(len(counts) - 1)
         )
         checks.append(("counts are integral and within lifting bounds", ok,
                        " ".join(str(v) for v in counts)))
         n_brute = 0
-        while n_brute < config.max_m and ctx.p ** (n_brute + 1) <= config.brute_cap:
+        while n_brute < args.max_m and ctx.p ** (n_brute + 1) <= args.brute_cap:
             n_brute += 1
-        brute = brute_counts_upto(dense, ctx, n_brute, cap=config.brute_cap)
+        brute = brute_counts_upto(dense, ctx, n_brute, cap=args.brute_cap)
         checks.append(
             (f"brute-force counts match up to m = {n_brute}",
              brute == counts[: n_brute + 1], "")
@@ -229,30 +215,6 @@ def _cmd_verify(config: RunConfig, ctx: PAdicContext) -> tuple[int, str]:
     return (2 if failed else 0), "\n".join(lines)
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Execute one command; returns (exit status, rendered output)."""
-    if config.max_m < 0:
-        raise LocalZetaError("max-m/length must be nonnegative")
-    ctx = PAdicContext(config.prime)
-    if config.brute_cap < ctx.p:
-        raise LocalZetaError("brute cap must be at least p")
-    if config.command == "zeta":
-        return 0, _cmd_zeta(config, ctx)
-    if config.command == "poincare":
-        return 0, _cmd_poincare(config, ctx)
-    if config.command == "count":
-        return _cmd_count(config, ctx)
-    if config.command == "keystream":
-        return 0, _cmd_keystream(config, ctx)
-    if config.command == "tree":
-        return 0, _cmd_tree(config, ctx)
-    if config.command == "lfsr":
-        return 0, _cmd_lfsr(config, ctx)
-    if config.command == "verify":
-        return _cmd_verify(config, ctx)
-    raise LocalZetaError(f"unknown command {config.command!r}")
-
-
 def _csv_ints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip() != "")
 
@@ -265,9 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_poly_command(name, help_text, max_m_flag=None,
+    def add_poly_command(name, handler, help_text, max_m_flag=None,
                          methods=("tree", "spf"), formats=("text", "json")):
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(handler=handler)
         cmd.add_argument("--poly", required=True, help="polynomial text")
         cmd.add_argument("--prime", required=True, type=int)
         if max_m_flag:
@@ -275,21 +238,21 @@ def build_parser() -> argparse.ArgumentParser:
         if methods:
             cmd.add_argument("--method", choices=methods, default="tree")
         cmd.add_argument("--format", choices=formats, default="text")
-        cmd.add_argument("--brute-cap", dest="brute_cap", type=int,
-                         default=_default_cap())
-        return cmd
+        cmd.add_argument("--brute-cap", dest="brute_cap", type=int)
 
-    add_poly_command("zeta", "compute Z(t, f) and its normalized form")
-    add_poly_command("poincare", "compute the Poincare series H(t, f)")
-    add_poly_command("count", "solution counts N_0..N_max_m", "--max-m",
+    add_poly_command("zeta", _cmd_zeta, "compute Z(t, f) and its normalized form")
+    add_poly_command("poincare", _cmd_poincare, "compute the Poincare series H(t, f)")
+    add_poly_command("count", _cmd_count, "solution counts N_0..N_max_m", "--max-m",
                      ("tree", "spf", "brute", "all"))
-    add_poly_command("keystream", "keystream N_0..N_u", "--length",
+    add_poly_command("keystream", _cmd_keystream, "keystream N_0..N_u", "--length",
                      ("tree", "spf", "brute"))
-    add_poly_command("tree", "dump the weighted residue-class tree", None, (),
-                     ("text", "json", "dot"))
-    add_poly_command("verify", "run all cross-checks on one input", "--max-m", ())
+    add_poly_command("tree", _cmd_tree, "dump the weighted residue-class tree",
+                     None, (), ("text", "json", "dot"))
+    add_poly_command("verify", _cmd_verify, "run all cross-checks on one input",
+                     "--max-m", ())
 
     lfsr_cmd = sub.add_parser("lfsr", help="simulate a linear feedback shift register")
+    lfsr_cmd.set_defaults(handler=_cmd_lfsr)
     lfsr_cmd.add_argument("--prime", required=True, type=int)
     lfsr_cmd.add_argument("--taps", required=True, type=_csv_ints)
     lfsr_cmd.add_argument("--init", required=True, type=_csv_ints)
@@ -299,26 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        poly=getattr(args, "poly", None),
-        prime=args.prime,
-        max_m=getattr(args, "max_m", 8),
-        method=getattr(args, "method", "tree"),
-        format=getattr(args, "format", "text"),
-        brute_cap=getattr(args, "brute_cap", _default_cap()),
-        taps=getattr(args, "taps", ()),
-        init=getattr(args, "init", ()),
-        steps=getattr(args, "steps", 16),
-        period=getattr(args, "period", False),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns the exit status."""
     args = build_parser().parse_args(argv)
     try:
-        status, output = run(config_from_args(args))
+        if getattr(args, "max_m", 0) < 0:
+            raise LocalZetaError("max-m/length must be nonnegative")
+        ctx = PAdicContext(args.prime)
+        if hasattr(args, "brute_cap"):  # every command but lfsr
+            args.brute_cap = _brute_cap(args.brute_cap)
+            if args.brute_cap < ctx.p:
+                raise LocalZetaError("brute cap must be at least p")
+        status, output = args.handler(args, ctx)
     except LocalZetaError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -14,12 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    NegativeShift,
-    NonIntegerCoefficients,
-    NonIntegralCount,
-)
+from .errors import CapExceeded, NegativeShift, NonIntegralCount
 from .padic import PAdicContext
 from .polynomials import DensePoly, FactoredPoly, as_integer_poly
 from .ratfunc import rf_series
@@ -107,13 +102,6 @@ def counts_from_coeffs(
 # ---------------------------------------------------------------------------
 
 
-def _integer_coeffs(f: DensePoly | FactoredPoly) -> list[int]:
-    dense = f.expand() if isinstance(f, FactoredPoly) else f
-    if not dense.is_integral():
-        raise NonIntegerCoefficients("brute-force counting needs f in Z[x]")
-    return [int(c) for c in dense.coefficients]
-
-
 def _zero_profile(coeffs: list[int], q: int, p: int, n: int) -> list[int]:
     """#{x mod q : f(x) = 0 mod p**m} for m = 1..n, with q = p**n."""
     zeros = [0] * n
@@ -138,19 +126,6 @@ def _zero_profile(coeffs: list[int], q: int, p: int, n: int) -> list[int]:
     return zeros
 
 
-def brute_count(
-    f: DensePoly | FactoredPoly, ctx: PAdicContext, n: int, cap: int = DEFAULT_CAP
-) -> int:
-    """#{x in Z/p**n Z : f(x) = 0 mod p**n} by direct evaluation."""
-    coeffs = _integer_coeffs(f)
-    q = ctx.p**n
-    if q > cap:
-        raise CapExceeded(f"p^{n} = {q} exceeds the cap {cap}")
-    if n == 0:
-        return 1
-    return _zero_profile(coeffs, q, ctx.p, n)[-1]
-
-
 def brute_counts_upto(
     f: DensePoly | FactoredPoly, ctx: PAdicContext, n: int, cap: int = DEFAULT_CAP
 ) -> list[int]:
@@ -159,7 +134,7 @@ def brute_counts_upto(
     A residue class mod p**m lifts to exactly p**(n-m) classes mod p**n,
     so one pass over Z/p**n Z yields every smaller-level count.
     """
-    coeffs = _integer_coeffs(f)
+    coeffs = [int(c) for c in as_integer_poly(f).coefficients]
     q = ctx.p**n
     if q > cap:
         raise CapExceeded(f"p^{n} = {q} exceeds the cap {cap}")

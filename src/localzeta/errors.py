@@ -61,10 +61,6 @@ class MalformedDocument(LocalZetaError):
     """A JSON document does not describe a valid object; the message names the reader."""
 
 
-class NonIntegerCoefficients(LocalZetaError):
-    """Brute-force counting needs integer coefficients."""
-
-
 class CapExceeded(LocalZetaError):
     """Brute-force enumeration would exceed the configured residue cap."""
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counting import DEFAULT_CAP, count_sequence
-from .errors import DegenerateTaps, DegreeViolation
+from .errors import DegenerateTaps, DegreeViolation, LocalZetaError
 from .padic import PAdicContext
 from .polynomials import DensePoly, FactoredPoly
-from .ratfunc import RationalFunctionT
+
+CoeffPair = tuple[tuple[int, ...], tuple[int, ...]]  # (L, R) coefficients mod p
 
 
 class Lfsr:
@@ -29,9 +30,9 @@ class Lfsr:
 
     def __init__(self, p: int, taps: list[int] | tuple[int, ...], init: list[int] | tuple[int, ...]):
         if len(taps) < 1:
-            raise ValueError("register length must be >= 1")
+            raise LocalZetaError("register length must be >= 1")
         if len(init) != len(taps):
-            raise ValueError("state length must equal the register length")
+            raise LocalZetaError("state length must equal the register length")
         self.p = p
         self.taps = tuple(q % p for q in taps)
         self._window = [a % p for a in init]
@@ -68,6 +69,8 @@ class Lfsr:
 
 def lfsr_run(register: Lfsr, steps: int) -> list[int]:
     """The next `steps` outputs (advances the register)."""
+    if steps < 0:
+        raise LocalZetaError("steps must be nonnegative")
     return [register.step() for _ in range(steps)]
 
 
@@ -89,11 +92,11 @@ def period_of(register: Lfsr) -> int:
     return i - seen[state]
 
 
-def lfsr_generating_function(register: Lfsr) -> RationalFunctionT:
-    """g = L/R over F_p with R = 1 + q_1 x + ... + q_r x**r and deg L < r.
+def lfsr_generating_function(register: Lfsr) -> CoeffPair:
+    """g = L/R over F_p as the pair (L, R), R = 1 + q_1 x + ... + q_r x**r.
 
-    Raw coefficients in {0..p-1}; the canonical reduction over Q does not
-    apply mod p.
+    Coefficients in {0..p-1}, constant term first, deg L < r; the
+    canonical reduction over Q does not apply mod p.
     """
     if register.taps[-1] == 0:
         raise DegenerateTaps("q_r = 0: no length-r rational correspondence")
@@ -107,13 +110,13 @@ def lfsr_generating_function(register: Lfsr) -> RationalFunctionT:
     ]
     while len(num) > 1 and num[-1] == 0:
         num.pop()
-    return RationalFunctionT(tuple(num), den)
+    return tuple(num), den
 
 
-def series_mod_p(rf: RationalFunctionT, p: int, count: int) -> list[int]:
-    """First `count` power-series coefficients of rf over F_p."""
-    den = [c % p for c in rf.denominator]
-    num = [c % p for c in rf.numerator]
+def series_mod_p(g: CoeffPair, p: int, count: int) -> list[int]:
+    """First `count` power-series coefficients of g = (L, R) over F_p."""
+    num = [c % p for c in g[0]]
+    den = [c % p for c in g[1]]
     if den[0] == 0:
         raise DegreeViolation("denominator has zero constant term mod p")
     inv0 = pow(den[0], -1, p)
@@ -126,15 +129,15 @@ def series_mod_p(rf: RationalFunctionT, p: int, count: int) -> list[int]:
     return out
 
 
-def lfsr_from_rational(g: RationalFunctionT, p: int) -> Lfsr:
-    """The unique register with q_r != 0 whose generating function is g.
+def lfsr_from_rational(g: CoeffPair, p: int) -> Lfsr:
+    """The unique register with q_r != 0 whose generating function is g = (L, R).
 
     Requires deg(numerator) < deg(denominator) = r with a nonzero
     degree-r denominator coefficient mod p (otherwise the sequence is
     only eventually periodic and no length-r register realizes it).
     """
-    num = [c % p for c in g.numerator]
-    den = [c % p for c in g.denominator]
+    num = [c % p for c in g[0]]
+    den = [c % p for c in g[1]]
     while len(num) > 1 and num[-1] == 0:
         num.pop()
     while len(den) > 1 and den[-1] == 0:
@@ -148,7 +151,7 @@ def lfsr_from_rational(g: RationalFunctionT, p: int) -> Lfsr:
         raise DegreeViolation("numerator degree must be below denominator degree")
     inv0 = pow(den[0], -1, p)
     taps = [den[i] * inv0 % p for i in range(1, r + 1)]
-    init = series_mod_p(RationalFunctionT(tuple(num), tuple(den)), p, r)
+    init = series_mod_p((num, den), p, r)
     return Lfsr(p, taps, init)
 
 

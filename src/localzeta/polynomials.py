@@ -302,6 +302,11 @@ def _scaled_value(ints: list[int], a: int, b: int) -> int:
     return acc
 
 
+def _values_at_one(ints: list[int]) -> tuple[int, int]:
+    """(P(1), P(-1)) for the integer polynomial P."""
+    return sum(ints), sum(ints[0::2]) - sum(ints[1::2])
+
+
 def _divide_linear(ints: list[int], a: int, b: int) -> list[int]:
     """P / (b*x - a) for an integer P with P(a/b) = 0 and b*x - a primitive."""
     quotient = [0] * (len(ints) - 1)
@@ -515,16 +520,23 @@ def find_rational_roots(f: DensePoly) -> FactoredPoly:
     if len(work) > 1:
         # Test a/b on the primitive integer form P by b**d * P(a/b) = 0 and
         # divide by (b*x - a); by Gauss's lemma each quotient is again a
-        # primitive integer polynomial.
+        # primitive integer polynomial.  So P = (b*x - a) * Q with Q in Z[x],
+        # and a root needs (b - a) | P(1) and (b + a) | P(-1): two integer
+        # remainders that drop most candidates before the Horner test.
         work = _primitive_integer_form(work)
+        at_one, at_minus_one = _values_at_one(work)
         for num, b in _candidate_values(work):
             for a in (num, -num):
+                # a/b = 1 or -1 makes a divisor 0; that test is skipped
+                if at_one % (b - a or 1) or at_minus_one % (b + a or 1):
+                    continue
                 mult = 0
                 while len(work) > 1 and _scaled_value(work, a, b) == 0:
                     work = _divide_linear(work, a, b)
                     mult += 1
                 if mult:
                     roots.append((Fraction(a, b), mult))
+                    at_one, at_minus_one = _values_at_one(work)
             if len(work) == 1:
                 break
     if len(work) > 1:
@@ -539,13 +551,18 @@ def find_rational_roots(f: DensePoly) -> FactoredPoly:
 # ---------------------------------------------------------------------------
 
 
-def reduce_to_integral_roots(f: FactoredPoly, ctx: PAdicContext) -> ReducedInput:
-    """Split off roots with v_p < 0; their absolute values are constant on Z_p.
+def reduce_to_integral_roots(
+    f: DensePoly | FactoredPoly, ctx: PAdicContext
+) -> ReducedInput:
+    """Factor f if dense, then split off roots with v_p < 0.
 
-    The returned shift satisfies Z(t, f) = t**shift * Z(t, fplus), and
+    Those roots contribute absolute values that are constant on Z_p, so
+    the returned shift satisfies Z(t, f) = t**shift * Z(t, fplus), and
     fplus keeps exactly the roots with v_p >= 0 (and the prime-to-p part
     of the unit).
     """
+    if isinstance(f, DensePoly):
+        f = find_rational_roots(f)
     unit_v = vp(f.unit, ctx)
     shift = unit_v
     keep = []

@@ -123,11 +123,9 @@ def poly_gcd(a: Coeffs, b: Coeffs) -> list[int]:
 
 @dataclass(frozen=True)
 class RationalFunctionT:
-    """numerator(t) / denominator(t) with integer coefficients, constant first.
+    """A rational function over Q: integer coefficients, constant term first.
 
-    Values produced by make_ratfunc are canonical; raw construction is also
-    allowed (the register correspondence uses coefficients mod p, where the
-    canonical reduction over Q would be meaningless).
+    Values produced by make_ratfunc are canonical.
     """
 
     numerator: tuple[int, ...]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .errors import MalformedDocument
 from .padic import PAdicContext, padic_expand
 from .polynomials import FactoredPoly
 
@@ -166,30 +167,30 @@ def tree_to_json(tree: WeightedTree) -> dict:
 
 def tree_from_json(doc: dict | str) -> WeightedTree:
     """Inverse of tree_to_json."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    vertices = tuple(
-        Vertex(
-            id=int(v["id"]),
-            level=int(v["level"]),
-            residue=int(v["residue"]),
-            parent=None if v["parent"] is None else int(v["parent"]),
-            children=tuple(int(c) for c in v["children"]),
-            weight=int(v["weight"]),
-            stalk_weight=int(v["stalk_weight"]),
+    try:
+        if isinstance(doc, str):
+            doc = json.loads(doc)
+        vertices = tuple(
+            Vertex(
+                id=int(v["id"]),
+                level=int(v["level"]),
+                residue=int(v["residue"]),
+                parent=None if v["parent"] is None else int(v["parent"]),
+                children=tuple(int(c) for c in v["children"]),
+                weight=int(v["weight"]),
+                stalk_weight=int(v["stalk_weight"]),
+            )
+            for v in doc["vertices"]
         )
-        for v in doc["vertices"]
-    )
-    depth = max(v.level for v in vertices)
+        depth = max(v.level for v in vertices)
+        p, l_f, root = int(doc["p"]), int(doc["l_f"]), int(doc["root"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedDocument(f"tree_from_json: {exc!r}") from exc
     levels = tuple(
         tuple(v.id for v in vertices if v.level == m) for m in range(depth + 1)
     )
     return WeightedTree(
-        ctx=PAdicContext(int(doc["p"])),
-        l_f=int(doc["l_f"]),
-        vertices=vertices,
-        levels=levels,
-        root=int(doc["root"]),
+        ctx=PAdicContext(p), l_f=l_f, vertices=vertices, levels=levels, root=root
     )
 
 

@@ -37,7 +37,6 @@ from .polynomials import (
     DensePoly,
     FactoredPoly,
     compute_lf,
-    find_rational_roots,
     reduce_to_integral_roots,
 )
 from .ratfunc import RationalFunctionT, rf_format
@@ -227,8 +226,7 @@ def compute_zeta(
     f: DensePoly | FactoredPoly, ctx: PAdicContext, method: str = "tree"
 ) -> ZetaFunction:
     """Full pipeline: factor (if dense), reduce, and evaluate Z(t, f)."""
-    factored = find_rational_roots(f) if isinstance(f, DensePoly) else f
-    reduced = reduce_to_integral_roots(factored, ctx)
+    reduced = reduce_to_integral_roots(f, ctx)
     if method == "tree":
         l_f = compute_lf(reduced.fplus, ctx)
         tree = build_tree(reduced.fplus, ctx, l_f)
@@ -408,16 +406,20 @@ def zeta_to_json(z: ZetaFunction) -> dict:
 
 def zeta_from_json(doc: dict | str) -> ZetaFunction:
     """Inverse of zeta_to_json (the derived `normalized` block is ignored)."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    terms = tuple(
-        ZetaTerm(Fraction(t["coeff"]), int(t["t_pow"]), int(t["den_pow"]))
-        for t in doc["terms"]
-    )
+    try:
+        if isinstance(doc, str):
+            doc = json.loads(doc)
+        terms = tuple(
+            ZetaTerm(Fraction(t["coeff"]), int(t["t_pow"]), int(t["den_pow"]))
+            for t in doc["terms"]
+        )
+        p, shift = int(doc["p"]), int(doc["shift"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MalformedDocument(f"zeta_from_json: {exc!r}") from exc
     for i, term in enumerate(terms):
         if term.t_pow < 0 or term.den_pow < 0:
             raise MalformedDocument(
                 f"zeta_from_json: term {i} has t_pow = {term.t_pow} and "
                 f"den_pow = {term.den_pow}; both must be >= 0"
             )
-    return ZetaFunction(ctx=PAdicContext(int(doc["p"])), shift=int(doc["shift"]), terms=terms)
+    return ZetaFunction(ctx=PAdicContext(p), shift=shift, terms=terms)

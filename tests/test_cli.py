@@ -163,3 +163,38 @@ def test_brute_cap_env_var(capsys, monkeypatch):
         "--method", "brute",
     )
     assert status == 0
+
+
+def test_bad_lfsr_register_exits_one(capsys):
+    for taps, init in (("1", "0,1"), ("", "")):
+        status, out, err = run_cli(
+            capsys, "lfsr", "--prime", "2", "--taps", taps, "--init", init
+        )
+        assert status == 1 and out == ""
+        assert err.startswith("error: LocalZetaError: ")
+
+
+def test_negative_lfsr_steps_exit_one(capsys):
+    status, out, err = run_cli(
+        capsys, "lfsr", "--prime", "2", "--taps", "1,1", "--init", "0,1",
+        "--steps", "-3",
+    )
+    assert status == 1 and out == ""
+    assert err == "error: LocalZetaError: steps must be nonnegative\n"
+
+
+def test_non_integer_brute_cap_env_var_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("LOCALZETA_BRUTE_CAP", "abc")
+    status, out, err = run_cli(capsys, "zeta", "--poly", "x", "--prime", "5")
+    assert status == 1 and out == ""
+    assert err.startswith("error: LocalZetaError: LOCALZETA_BRUTE_CAP ")
+    assert "'abc'" in err
+
+
+def test_lfsr_ignores_the_brute_cap_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("LOCALZETA_BRUTE_CAP", "1")
+    status, out, _ = run_cli(
+        capsys, "lfsr", "--prime", "2", "--taps", "1,1", "--init", "0,1",
+        "--steps", "4",
+    )
+    assert status == 0 and out == "output: 0 1 1 0\n"

@@ -10,10 +10,8 @@ from localzeta import (
     FactoredPoly,
     IntegralityError,
     NegativeShift,
-    NonIntegerCoefficients,
     NonIntegralCount,
     PAdicContext,
-    brute_count,
     brute_counts_upto,
     coeff_stream,
     compute_zeta,
@@ -86,28 +84,28 @@ def test_counts_from_coeffs_rejects_bad_streams():
 
 def test_brute_count_examples():
     ctx = PAdicContext(2)
-    assert brute_count(parse_poly("x^2 - 1"), ctx, 3) == 4
+    assert brute_counts_upto(parse_poly("x^2 - 1"), ctx, 3)[-1] == 4
     assert {x for x in range(8) if (x * x - 1) % 8 == 0} == {1, 3, 5, 7}
     for p in (3, 7):
-        assert brute_count(parse_poly("x"), PAdicContext(p), 4) == 1
+        assert brute_counts_upto(parse_poly("x"), PAdicContext(p), 4)[-1] == 1
     ctx3 = PAdicContext(3)
     f = parse_poly("(x-1)^2*(x-4)")
-    assert brute_count(f, ctx3, 4) == 18
+    assert brute_counts_upto(f, ctx3, 4)[-1] == 18
 
 
 def test_brute_count_guards():
     ctx = PAdicContext(2)
     with pytest.raises(CapExceeded):
-        brute_count(parse_poly("x"), ctx, 40)
-    with pytest.raises(NonIntegerCoefficients):
-        brute_count(DensePoly((F(1, 2), F(1))), ctx, 2)
+        brute_counts_upto(parse_poly("x"), ctx, 40)
+    with pytest.raises(IntegralityError):
+        brute_counts_upto(DensePoly((F(1, 2), F(1))), ctx, 2)
 
 
 def test_brute_counts_upto_matches_single_counts():
     ctx = PAdicContext(3)
     f = parse_poly("x^3 - x")
     upto = brute_counts_upto(f, ctx, 5)
-    assert upto == [brute_count(f, ctx, n) for n in range(6)]
+    assert upto == [brute_counts_upto(f, ctx, n)[-1] for n in range(6)]
 
 
 def test_brute_python_fallback_agrees():
@@ -200,7 +198,7 @@ def test_coefficient_tail_is_normalized_count():
 
 
 def test_brute_count_zero_level():
-    assert brute_count(parse_poly("x^2 - 1"), PAdicContext(2), 0) == 1
+    assert brute_counts_upto(parse_poly("x^2 - 1"), PAdicContext(2), 0) == [1]
 
 
 def test_keystream_length_zero():

@@ -137,6 +137,32 @@ def test_find_roots_constant_term_with_many_prime_factors(monkeypatch):
         find_rational_roots(f.expand())
 
 
+def test_find_roots_divisibility_filter_skips_most_candidates(monkeypatch):
+    import localzeta.polynomials as poly_mod
+
+    calls = 0
+    scaled_value = poly_mod._scaled_value
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return scaled_value(*args)
+
+    monkeypatch.setattr(poly_mod, "_scaled_value", counted)
+    roots = (30030, 215441, 47027, 107113, 241133, 409457)
+    f = FactoredPoly(F(1), tuple((F(r), 1) for r in roots))
+    assert find_rational_roots(f.expand()) == f
+    assert calls < 1000  # 15,948 Horner evaluations without the filter
+
+
+def test_find_roots_many_candidates_below_the_root_bound():
+    # about 676k candidate pairs lie below the root bound
+    f = FactoredPoly(
+        F(-11), ((F(-600851, 9), 3), (F(2069, 577), 2), (F(115607, 700), 3))
+    )
+    assert find_rational_roots(f.expand()) == f
+
+
 def test_find_roots_semiprime_constant_term():
     n = 1_000_003 * 1_000_033
     f = find_rational_roots(DensePoly((F(n), F(-n - 1), F(1))))

@@ -2,8 +2,11 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from localzeta import (
     FactoredPoly,
+    MalformedDocument,
     PAdicContext,
     build_tree,
     compute_lf,
@@ -164,6 +167,19 @@ def test_json_round_trip():
     tree = worked_tree()
     doc = json.dumps(tree_to_json(tree))
     assert tree_from_json(doc) == tree
+
+
+def test_json_reader_rejects_an_empty_vertex_list():
+    doc = {**tree_to_json(worked_tree()), "vertices": []}
+    with pytest.raises(MalformedDocument, match="tree_from_json"):
+        tree_from_json(doc)
+
+
+def test_json_reader_rejects_missing_vertices():
+    doc = tree_to_json(worked_tree())
+    del doc["vertices"]
+    with pytest.raises(MalformedDocument, match="tree_from_json"):
+        tree_from_json(doc)
 
 
 def test_dot_output():

@@ -521,3 +521,14 @@ def test_zeta_from_json_rejects_negative_exponents():
     doc["terms"] = [{"coeff": "1", "t_pow": 0, "den_pow": -1}]
     with pytest.raises(MalformedDocument, match="zeta_from_json"):
         zeta_from_json(doc)
+
+
+def test_zeta_from_json_rejects_missing_fields():
+    with pytest.raises(MalformedDocument, match="zeta_from_json"):
+        zeta_from_json('{"p": "3"}')
+
+
+def test_zeta_from_json_rejects_a_non_numeric_coefficient():
+    doc = {"p": "3", "shift": 0, "terms": [{"coeff": "x", "t_pow": 0, "den_pow": 0}]}
+    with pytest.raises(MalformedDocument, match="zeta_from_json"):
+        zeta_from_json(doc)
