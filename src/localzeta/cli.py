@@ -8,6 +8,7 @@ integers are decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -219,7 +220,9 @@ def _csv_ints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip() != "")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="localzeta",
         description="Exact local zeta functions, solution counts and LFSR keystreams "

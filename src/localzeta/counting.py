@@ -3,8 +3,9 @@
 c_m is the measure of {x : v_p(f(x)) = m}, i.e. the t**m coefficient of
 Z(t, f); the counts follow from N_n = p**n (1 - sum_{j<=n} c_{j-1}).  Two
 independent coefficient routes are implemented (term-by-term geometric
-expansion, and long division of the normalized rational function) and the
-brute-force oracle simply evaluates f over Z/p**n Z.
+expansion, and long division of the normalized rational function).  The
+brute-force oracle counts the solutions of f = 0 mod p**m directly, by
+lifting the solutions mod p**m to those mod p**(m+1) one digit at a time.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceeded, NegativeShift, NonIntegralCount
+from .errors import CapExceeded, LocalZetaError, NegativeShift, NonIntegralCount
 from .padic import PAdicContext
 from .polynomials import DensePoly, FactoredPoly, as_integer_poly
 from .ratfunc import rf_series
 from .zeta import ZetaFunction, compute_zeta, normalize
 
 DEFAULT_CAP = 10**7
-_VECTOR_LIMIT = 2**31  # int64 stays exact: residues and products < 2**62
+_VECTOR_LIMIT = 2**31  # int64 stays exact: residues < 2**31, products < 2**62
 _BLOCK = 1 << 18
 
 
@@ -102,46 +103,52 @@ def counts_from_coeffs(
 # ---------------------------------------------------------------------------
 
 
-def _zero_profile(coeffs: list[int], q: int, p: int, n: int) -> list[int]:
-    """#{x mod q : f(x) = 0 mod p**m} for m = 1..n, with q = p**n."""
-    zeros = [0] * n
-    moduli = [p**m for m in range(1, n + 1)]
-    if q <= _VECTOR_LIMIT:
-        cs = [c % q for c in coeffs]
-        for start in range(0, q, _BLOCK):
-            xs = np.arange(start, min(start + _BLOCK, q), dtype=np.int64)
-            acc = np.zeros_like(xs)
-            for c in reversed(cs):
-                acc = (acc * xs + c) % q
-            for i, pm in enumerate(moduli):
-                zeros[i] += int((acc % pm == 0).sum())
-    else:
-        for x in range(q):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * x + c) % q
-            for i, pm in enumerate(moduli):
-                if acc % pm == 0:
-                    zeros[i] += 1
-    return zeros
-
-
 def brute_counts_upto(
     f: DensePoly | FactoredPoly, ctx: PAdicContext, n: int, cap: int = DEFAULT_CAP
 ) -> list[int]:
-    """All of N_0..N_n from a single sweep modulo p**n.
+    """All of N_0..N_n by lifting the solutions one p-adic digit at a time.
 
-    A residue class mod p**m lifts to exactly p**(n-m) classes mod p**n,
-    so one pass over Z/p**n Z yields every smaller-level count.
+    A solution mod p**(m+1) reduces to a solution mod p**m, so the
+    solutions at level m + 1 are among the p lifts x0 + k*p**m
+    (k = 0..p-1) of the N_m solutions x0 at level m.  Each level
+    evaluates f on those lifts mod q = p**(m+1), by Horner's rule on
+    whole arrays, and keeps the zeros; the last level only counts them.
+    Residues are int64 while q <= _VECTOR_LIMIT and Python ints above.
+    At most _BLOCK lifts are formed at a time, and there are
+    p*(N_0 + ... + N_(n-1)) <= 2*p**n of them, so the cap on p**n bounds
+    both time and memory.  The oracle never sees the factorisation or Z.
     """
+    if n < 0:
+        raise LocalZetaError("max-m/length must be nonnegative")
     coeffs = [int(c) for c in as_integer_poly(f).coefficients]
-    q = ctx.p**n
-    if q > cap:
-        raise CapExceeded(f"p^{n} = {q} exceeds the cap {cap}")
-    if n == 0:
-        return [1]
-    zeros = _zero_profile(coeffs, q, ctx.p, n)
-    return [1] + [zeros[m - 1] // ctx.p ** (n - m) for m in range(1, n + 1)]
+    p = ctx.p
+    if p**n > cap:
+        raise CapExceeded(f"p^{n} = {p**n} exceeds the cap {cap}")
+    counts = [1]
+    survivors = np.zeros(1, dtype=np.int64)  # the single class mod p**0
+    for m in range(n):
+        q, place = p ** (m + 1), p**m
+        dtype = np.int64 if q <= _VECTOR_LIMIT else object
+        cs = [c % q for c in coeffs]
+        kept = []
+        found = 0
+        lifts = len(survivors) * p
+        for start in range(0, lifts, _BLOCK):
+            idx = np.arange(start, min(start + _BLOCK, lifts))
+            xs = (survivors[idx // p].astype(dtype, copy=False)
+                  + (idx % p).astype(dtype, copy=False) * place)
+            acc = np.full_like(xs, cs[-1])
+            for c in reversed(cs[:-1]):
+                acc *= xs
+                acc += c
+                acc %= q
+            zero = acc == 0
+            found += int(np.count_nonzero(zero))
+            if m + 1 < n:
+                kept.append(xs[zero])
+        counts.append(found)
+        survivors = np.concatenate(kept) if kept else survivors[:0]
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +167,12 @@ def count_sequence(
 
     `tree` expands the tree terms; `spf` long-divides the normalized
     recursive evaluation (a fully independent coefficient route); `brute`
-    enumerates residues and derives the coefficients from the counts
-    (c_{j-1} = N_{j-1}/p**(j-1) - N_j/p**j), so it never sees the zeta
-    function at all.
+    counts the solutions by lifting them digit by digit and derives the
+    coefficients from the counts (c_{j-1} = N_{j-1}/p**(j-1) - N_j/p**j),
+    so it never sees the zeta function at all.
     """
+    if max_m < 0:
+        raise LocalZetaError("max-m/length must be nonnegative")
     dense = as_integer_poly(f)
     p = ctx.p
     if method == "brute":

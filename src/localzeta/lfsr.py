@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counting import DEFAULT_CAP, count_sequence
-from .errors import DegenerateTaps, DegreeViolation, LocalZetaError
-from .padic import PAdicContext
+from .errors import DegenerateTaps, DegreeViolation, InvalidPrime, LocalZetaError
+from .padic import PAdicContext, is_prime
 from .polynomials import DensePoly, FactoredPoly
 
 CoeffPair = tuple[tuple[int, ...], tuple[int, ...]]  # (L, R) coefficients mod p
@@ -24,8 +24,9 @@ CoeffPair = tuple[tuple[int, ...], tuple[int, ...]]  # (L, R) coefficients mod p
 class Lfsr:
     """Mutable register state; stepping is single-owner, everything else copies.
 
-    `init` holds the first r outputs a_0..a_{r-1}; the live state is the
-    sliding window of the next r outputs.
+    The modulus p must be prime (InvalidPrime otherwise).  `init` holds
+    the first r outputs a_0..a_{r-1}; the live state is the sliding window
+    of the next r outputs.
     """
 
     def __init__(self, p: int, taps: list[int] | tuple[int, ...], init: list[int] | tuple[int, ...]):
@@ -33,6 +34,8 @@ class Lfsr:
             raise LocalZetaError("register length must be >= 1")
         if len(init) != len(taps):
             raise LocalZetaError("state length must equal the register length")
+        if not is_prime(p):
+            raise InvalidPrime(f"modulus must be prime, got {p!r}")
         self.p = p
         self.taps = tuple(q % p for q in taps)
         self._window = [a % p for a in init]

@@ -198,3 +198,12 @@ def test_lfsr_ignores_the_brute_cap_env_var(capsys, monkeypatch):
         "--steps", "4",
     )
     assert status == 0 and out == "output: 0 1 1 0\n"
+
+
+def test_verify_reaches_deep_brute_levels(capsys):
+    status, out, _ = run_cli(
+        capsys, "verify", "--poly", "x^2-1", "--prime", "2", "--max-m", "60",
+        "--brute-cap", str(2**60),
+    )
+    assert status == 0
+    assert "PASS  brute-force counts match up to m = 60" in out

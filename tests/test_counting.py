@@ -1,7 +1,10 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localzeta import (
     CapExceeded,
@@ -9,6 +12,7 @@ from localzeta import (
     DensePoly,
     FactoredPoly,
     IntegralityError,
+    LocalZetaError,
     NegativeShift,
     NonIntegralCount,
     PAdicContext,
@@ -17,6 +21,7 @@ from localzeta import (
     compute_zeta,
     count_sequence,
     counts_from_coeffs,
+    keystream,
     normalize,
     parse_poly,
     rf_eval,
@@ -91,6 +96,9 @@ def test_brute_count_examples():
     ctx3 = PAdicContext(3)
     f = parse_poly("(x-1)^2*(x-4)")
     assert brute_counts_upto(f, ctx3, 4)[-1] == 18
+    # p above the block size: the p lifts of the one class mod p**0 are
+    # formed in several blocks
+    assert brute_counts_upto(parse_poly("x^2 - 1"), PAdicContext(1000003), 1) == [1, 2]
 
 
 def test_brute_count_guards():
@@ -115,7 +123,7 @@ def test_brute_python_fallback_agrees():
     f = DensePoly(tuple(F(c) for c in (-36, 0, 1)))
     fast = brute_counts_upto(f, ctx, 4)
     old = counting._VECTOR_LIMIT
-    counting._VECTOR_LIMIT = 1  # force the scalar path
+    counting._VECTOR_LIMIT = 1  # force the Python-int path
     try:
         slow = brute_counts_upto(f, ctx, 4)
     finally:
@@ -202,8 +210,6 @@ def test_brute_count_zero_level():
 
 
 def test_keystream_length_zero():
-    from localzeta import keystream
-
     assert keystream(parse_poly("x^2 - 1"), PAdicContext(2), 0).values == (1,)
 
 
@@ -214,3 +220,129 @@ def test_count_sequence_validation():
         CountSequence(p=3, coeffs=(), counts=(2,))
     with pytest.raises(NonIntegralCount):
         CountSequence(p=3, coeffs=(), counts=(1, 7))
+
+
+def test_brute_counts_upto_rejects_negative_depth():
+    with pytest.raises(LocalZetaError, match="max-m/length must be nonnegative"):
+        brute_counts_upto(parse_poly("x"), PAdicContext(3), -1)
+
+
+@pytest.mark.parametrize("method", ["tree", "spf", "brute"])
+def test_count_sequence_rejects_negative_depth(method):
+    with pytest.raises(LocalZetaError, match="max-m/length must be nonnegative"):
+        count_sequence(parse_poly("x"), PAdicContext(3), -1, method=method)
+
+
+def test_keystream_rejects_negative_depth():
+    with pytest.raises(LocalZetaError, match="max-m/length must be nonnegative"):
+        keystream(parse_poly("x"), PAdicContext(3), -2, method="brute")
+
+
+# ---------------------------------------------------------------------------
+# the lift against the definition and against the tree
+# ---------------------------------------------------------------------------
+
+
+def poly_mul_int(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def sweep_counts(coeffs, p, n):
+    """N_0..N_n by the definition, #{x mod p**m : p**m | f(x)}."""
+    def value(x):
+        return sum(c * x**i for i, c in enumerate(coeffs))
+
+    return [
+        sum(1 for x in range(p**m) if value(x) % p**m == 0) for m in range(n + 1)
+    ]
+
+
+@st.composite
+def lift_cases(draw):
+    """(p, coefficients, n, content): degree 1-6, p**n <= 4096.
+
+    A few integer roots with multiplicity make deep lifts; the content
+    p**k makes f vanish at every residue mod p**k.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    roots = draw(st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 3)), max_size=3))
+    coeffs = [1]
+    for r, mult in roots:
+        for _ in range(mult):
+            if len(coeffs) < 7:
+                coeffs = poly_mul_int(coeffs, [-r, 1])
+    rest = draw(st.integers(max(0, 2 - len(coeffs)), 7 - len(coeffs)))
+    cofactor = draw(st.lists(st.integers(-40, 40), min_size=rest, max_size=rest))
+    cofactor.append(draw(st.integers(-9, 9).filter(bool)))
+    content = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    coeffs = [c * p**content for c in poly_mul_int(coeffs, cofactor)]
+    n_max = max(n for n in range(13) if p**n <= 4096)
+    return p, coeffs, draw(st.integers(0, n_max)), content
+
+
+def test_lift_matches_definition():
+    reached = {"content": 0, "deep": 0}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(lift_cases())
+    def check(case):
+        p, coeffs, n, content = case
+        f = DensePoly(tuple(F(c) for c in coeffs))
+        assert 1 <= f.degree <= 6
+        counts = brute_counts_upto(f, PAdicContext(p), n)
+        assert counts == sweep_counts(coeffs, p, n)
+        reached["content"] += content > 0 and n > content
+        reached["deep"] += n >= 2 and 1 < counts[-1] < p**n
+
+    check()
+    assert all(reached.values()), reached
+
+
+@st.composite
+def tree_cases(draw):
+    """(f, p, n): integer roots, n = 40 when they are distinct.
+
+    Distinct roots keep N_m bounded past l_f; with multiplicities up to 3,
+    N_m grows like p**(m*(1 - 1/3)), so n stops at p**n <= 2**20.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    roots = draw(st.dictionaries(st.integers(-40, 40), st.integers(1, 3),
+                                 min_size=1, max_size=5))
+    if draw(st.booleans()):
+        roots = dict.fromkeys(roots, 1)
+    lead = draw(st.sampled_from([1, -1, 2, 3, 6]))
+    f = FactoredPoly(F(lead), tuple((F(r), m) for r, m in sorted(roots.items())))
+    n = 40 if set(roots.values()) == {1} else max(
+        n for n in range(21) if p**n <= 2**20
+    )
+    return f, p, n
+
+
+def test_lift_matches_tree_counts():
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(tree_cases())
+    def check(case):
+        f, p, n = case
+        ctx = PAdicContext(p)
+        tree = count_sequence(f, ctx, n, method="tree").counts
+        assert brute_counts_upto(f, ctx, n, cap=p**40) == list(tree)
+
+    check()
+
+
+def test_lift_on_the_worst_tower_stays_small():
+    # every root is 1 mod 3, so every residue 1 mod 3 survives every level
+    f = parse_poly("(x-1)^5*(x-4)^5*(x-7)^5*(x-10)^5*(x-13)^5")
+    ctx = PAdicContext(3)
+    tracemalloc.start()
+    try:
+        counts = brute_counts_upto(f, ctx, 14, cap=3**14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == list(count_sequence(f, ctx, 14).counts)
+    assert peak < 32 * 2**20

@@ -5,6 +5,7 @@ import pytest
 from localzeta import (
     DegenerateTaps,
     DegreeViolation,
+    InvalidPrime,
     Lfsr,
     PAdicContext,
     keystream,
@@ -24,6 +25,12 @@ def recurrence_oracle(p, taps, init, steps):
         n = len(seq)
         seq.append(-sum(q * seq[n - i] for i, q in enumerate(taps, start=1)) % p)
     return seq[:steps]
+
+
+def test_register_modulus_must_be_prime():
+    for p in (0, 1, 4, 318665857834031151167461):
+        with pytest.raises(InvalidPrime):
+            Lfsr(p, (1,), (1,))
 
 
 def test_run_binary_fibonacci():
