@@ -5,7 +5,9 @@ Z(t, f); the counts follow from N_n = p**n (1 - sum_{j<=n} c_{j-1}).  Two
 independent coefficient routes are implemented (term-by-term geometric
 expansion, and long division of the normalized rational function).  The
 brute-force oracle counts the solutions of f = 0 mod p**m directly, by
-lifting the solutions mod p**m to those mod p**(m+1) one digit at a time.
+lifting the solutions mod p**m to those mod p**(m+1) one digit at a time,
+and counts a residue class outright once the Taylor coefficients of f fix
+v_p(f) on it.
 """
 
 from __future__ import annotations
@@ -110,11 +112,14 @@ def brute_counts_upto(
 
     A solution mod p**(m+1) reduces to a solution mod p**m, so the
     solutions at level m + 1 are among the p lifts x0 + k*p**m
-    (k = 0..p-1) of the N_m solutions x0 at level m.  Each level
-    evaluates f on those lifts mod q = p**(m+1), by Horner's rule on
-    whole arrays, and keeps the zeros; the last level only counts them.
-    Residues are int64 while q <= _VECTOR_LIMIT and Python ints above.
-    At most _BLOCK lifts are formed at a time, and there are
+    (k = 0..p-1) of the N_m solutions x0 at level m.  Before a level is
+    lifted, _settle counts outright every class x0 + p**m Z on which
+    v_p(f) is already fixed, so only the classes near a root are lifted
+    further.  Each level evaluates f on the remaining lifts mod
+    q = p**(m+1), by Horner's rule on whole arrays, and keeps the zeros;
+    the last level only counts them.  Residues are int64 while
+    p**n <= _VECTOR_LIMIT and Python ints above.  At most _BLOCK lifts
+    are formed at a time, and there are at most
     p*(N_0 + ... + N_(n-1)) <= 2*p**n of them, so the cap on p**n bounds
     both time and memory.  The oracle never sees the factorisation or Z.
     """
@@ -124,31 +129,74 @@ def brute_counts_upto(
     p = ctx.p
     if p**n > cap:
         raise CapExceeded(f"p^{n} = {p**n} exceeds the cap {cap}")
-    counts = [1]
-    survivors = np.zeros(1, dtype=np.int64)  # the single class mod p**0
+    dtype = np.int64 if p**n <= _VECTOR_LIMIT else object
+    counts = [1] + [0] * n
+    survivors = np.zeros(1, dtype=dtype)  # the single class mod p**0
     for m in range(n):
+        survivors = _settle(survivors, coeffs, p, m, n, counts)
+        if not len(survivors):
+            break
         q, place = p ** (m + 1), p**m
-        dtype = np.int64 if q <= _VECTOR_LIMIT else object
         cs = [c % q for c in coeffs]
         kept = []
-        found = 0
         lifts = len(survivors) * p
         for start in range(0, lifts, _BLOCK):
             idx = np.arange(start, min(start + _BLOCK, lifts))
-            xs = (survivors[idx // p].astype(dtype, copy=False)
-                  + (idx % p).astype(dtype, copy=False) * place)
+            xs = survivors[idx // p] + (idx % p).astype(dtype, copy=False) * place
             acc = np.full_like(xs, cs[-1])
             for c in reversed(cs[:-1]):
                 acc *= xs
                 acc += c
                 acc %= q
             zero = acc == 0
-            found += int(np.count_nonzero(zero))
+            counts[m + 1] += int(np.count_nonzero(zero))
             if m + 1 < n:
                 kept.append(xs[zero])
-        counts.append(found)
         survivors = np.concatenate(kept) if kept else survivors[:0]
     return counts
+
+
+def _settle(
+    survivors: np.ndarray, coeffs: list[int], p: int, m: int, n: int, counts: list[int]
+) -> np.ndarray:
+    """Count the classes x0 + p**m Z whose solutions are known; return the rest.
+
+    On such a class f(x0 + p**m t) = sum_k a_k p**(m*k) t**k, with a_k the
+    Taylor coefficients of f at x0.  If v_p(a_0) = w is below every
+    v_p(a_k) + m*k (k >= 1), then v_p(f) = w on the whole class; if every
+    a_k p**(m*k) is 0 mod p**n, then v_p(f) >= n = w on it.  Either way
+    the class holds p**(j-m) solutions mod p**j for m < j <= w and none
+    beyond, which go straight into counts[j].  The a_k are formed mod p**n
+    by repeated synthetic division, one pass per k, and only while some
+    class still in the running has m*k below its w + 1.
+    """
+    top = p**n
+    powers = np.array([p**j for j in range(n + 1)], dtype=survivors.dtype)
+    live = []
+    step = max(1, _BLOCK // len(coeffs))
+    for start in range(0, len(survivors), step):
+        x0 = survivors[start:start + step]
+        a = [c % top for c in coeffs[:-1]] + [np.full_like(x0, coeffs[-1] % top)]
+        settled = np.ones(len(x0), dtype=bool)
+        for k in range(len(a)):
+            for i in range(len(a) - 2, k - 1, -1):
+                a[i] = a[i] + a[i + 1] * x0
+                a[i] %= top
+            if k == 0:
+                w = np.searchsorted(powers, np.gcd(a[0], top))  # min(v_p(f(x0)), n)
+                reach = np.minimum(w + 1, n)  # what each v_p(a_k) + m*k must reach
+            else:
+                settled &= a[k] % powers[np.maximum(reach - m * k, 0)] == 0
+            if not (settled & (reach > m * (k + 1))).any():
+                break  # every later a_k passes wherever it is still tested
+        if settled.any():
+            tally = np.bincount(w[settled], minlength=n + 1)
+            at_least = 0
+            for j in range(n, m, -1):
+                at_least += int(tally[j])
+                counts[j] += at_least * p ** (j - m)
+        live.append(x0[~settled])
+    return np.concatenate(live) if live else survivors
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -346,3 +347,45 @@ def test_lift_on_the_worst_tower_stays_small():
         tracemalloc.stop()
     assert counts == list(count_sequence(f, ctx, 14).counts)
     assert peak < 32 * 2**20
+
+
+def test_settle_counts_a_class_of_constant_valuation():
+    import localzeta.counting as counting
+
+    # f = x^3, p = 2: the solutions mod 4 are 0 and 2.  On 2 + 4Z,
+    # v_2(f) = 3, so that class holds 2 solutions mod 8 and none mod 16;
+    # on 4Z the valuation is not constant, so 0 is lifted further.
+    counts = [1, 1, 2] + [0] * 8
+    live = counting._settle(np.array([0, 2]), [0, 0, 0, 1], 2, 2, 10, counts)
+    assert list(live) == [0]
+    assert counts == [1, 1, 2, 2] + [0] * 7
+
+
+def test_lift_follows_only_unsettled_classes(monkeypatch):
+    import localzeta.counting as counting
+
+    lifted = []
+    settle = counting._settle
+
+    def spy(*args):
+        live = settle(*args)
+        lifted.append(len(live))
+        return live
+
+    monkeypatch.setattr(counting, "_settle", spy)
+    # v_3(f) >= 25 on all of 1 + 3Z, so after level 1 nothing is lifted,
+    # although every residue 1 mod 3 is a solution at every level
+    f = parse_poly("(x-1)^5*(x-4)^5*(x-7)^5*(x-10)^5*(x-13)^5")
+    assert brute_counts_upto(f, PAdicContext(3), 14, cap=3**14)[-1] == 3**13
+    assert lifted == [1, 0]
+    # a constant is settled on Z_p itself
+    lifted.clear()
+    assert brute_counts_upto(parse_poly("12"), PAdicContext(2), 5) == [1, 2, 4, 0, 0, 0]
+    assert brute_counts_upto(parse_poly("0"), PAdicContext(2), 5) == [1, 2, 4, 8, 16, 32]
+    assert lifted == [0, 0]
+    # simple roots: at most one class per root and digit is followed
+    lifted.clear()
+    f = FactoredPoly(F(1), tuple((F(r), 1) for r in (0, 1, 8, -8, 40)))
+    counts = brute_counts_upto(f, PAdicContext(2), 30, cap=2**30)
+    assert counts == list(count_sequence(f, PAdicContext(2), 30).counts)
+    assert max(lifted) <= 2 * 5
