@@ -29,7 +29,6 @@ from .errors import (
     NegativeShift,
     NegativeValuation,
     NonIntegralCount,
-    NotInvertible,
     ParseError,
     PoleAtPoint,
     RecursionDepthExceeded,
@@ -49,11 +48,7 @@ from .lfsr import (
 from .padic import (
     INFINITY,
     PAdicContext,
-    PAdicExpansion,
-    abs_p,
     is_prime,
-    mod_inverse,
-    padic_expand,
     vp,
 )
 from .polynomials import (

@@ -9,12 +9,8 @@ class InvalidPrime(LocalZetaError):
     """The modulus handed to a p-adic context is not prime."""
 
 
-class NotInvertible(LocalZetaError):
-    """Modular inverse requested for a residue divisible by p."""
-
-
 class NegativeValuation(LocalZetaError):
-    """p-adic digit expansion requested for a rational with p in its denominator."""
+    """Residue mod p**m requested for a rational with p in its denominator."""
 
 
 class ParseError(LocalZetaError):
@@ -42,7 +38,7 @@ class CandidateOverflow(LocalZetaError):
 
 
 class RecursionDepthExceeded(LocalZetaError):
-    """The residue-class recursion ran deeper than the separation depth allows."""
+    """The residue-class recursion ran deeper than the depth bound allows."""
 
 
 class NegativeShift(LocalZetaError):

@@ -2,10 +2,10 @@
 
 A rational x = a/b is handled through its p-adic order
 v_p(x) = v_p(a) - v_p(b), with |x|_p = p**(-v_p(x)).  The order of zero is
-the explicit sentinel ``INFINITY`` (never a large integer).  Digit
-expansions x = a_0 + a_1*p + a_2*p**2 + ... are stored least-significant
-first and computed with the modular-inverse recursion, so they are exact
-for any rational whose denominator is coprime to p.
+the explicit sentinel ``INFINITY`` (never a large integer).  A rational
+whose denominator is coprime to p is a p-adic integer, and ``residue``
+reduces it modulo p**m with one modular inverse; that residue is all the
+tree and the residue recursion read from a root.
 
 The prime is validated once, when a context is built (``is_prime``): the
 check is a proof for p < 3317044064679887385961981 and the Baillie-PSW
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidPrime, NegativeValuation, NotInvertible
+from .errors import InvalidPrime, NegativeValuation
 
 #: Sentinel value of v_p(0).
 INFINITY = math.inf
@@ -123,32 +123,13 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PAdicContext:
-    """A fixed prime p; every valuation and expansion is relative to it."""
+    """A fixed prime p; every valuation and residue is relative to it."""
 
     p: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.p, int) or self.p < 2 or not is_prime(self.p):
             raise InvalidPrime(f"modulus must be prime, got {self.p!r}")
-
-
-@dataclass(frozen=True)
-class PAdicExpansion:
-    """Digits a_0..a_m of a truncated expansion, least significant first."""
-
-    p: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(not 0 <= a < self.p for a in self.digits):
-            raise ValueError("digit out of range")
-
-    def value(self) -> int:
-        """The integer a_0 + a_1*p + ... represented by the digits."""
-        total = 0
-        for a in reversed(self.digits):
-            total = total * self.p + a
-        return total
 
 
 def _int_vp(n: int, p: int) -> int:
@@ -167,40 +148,13 @@ def vp(x: Fraction | int, ctx: PAdicContext) -> int | float:
     return _int_vp(x.numerator, ctx.p) - _int_vp(x.denominator, ctx.p)
 
 
-def abs_p(x: Fraction | int, ctx: PAdicContext) -> Fraction:
-    """|x|_p = p**(-v_p(x)) as an exact rational; 0 when x = 0."""
-    v = vp(x, ctx)
-    if v == INFINITY:
-        return Fraction(0)
-    return Fraction(1, ctx.p**v) if v >= 0 else Fraction(ctx.p ** (-v))
+def residue(x: Fraction | int, ctx: PAdicContext, m: int) -> int:
+    """x modulo p**m, in {0, ..., p**m - 1}, for x with v_p(x) >= 0.
 
-
-def mod_inverse(b: int, ctx: PAdicContext) -> int:
-    """The inverse of b modulo p, in {1, ..., p-1}."""
-    if b % ctx.p == 0:
-        raise NotInvertible(f"{b} is divisible by {ctx.p}")
-    return pow(b, -1, ctx.p)
-
-
-def padic_expand(gamma: Fraction | int, ctx: PAdicContext, m: int) -> PAdicExpansion:
-    """First m+1 digits of the p-adic expansion of gamma (needs v_p >= 0).
-
-    Writing gamma = c/b with p coprime to b and y = b**-1 mod p, the digits
-    satisfy a_i = y*c_i mod p, c_{i+1} = (c_i - a_i*b) / p, an exact integer
-    recursion.  The result r = sum a_j p**j obeys v_p(gamma - r) >= m+1.
+    Writing x = a/b with p coprime to b, the residue is a * b**-1 mod p**m,
+    the unique r in range with v_p(x - r) >= m.
     """
-    if m < 0:
-        raise ValueError("digit count must be nonnegative")
-    gamma = Fraction(gamma)
-    p = ctx.p
-    b = gamma.denominator
-    if b % p == 0:
-        raise NegativeValuation(f"v_{p}({gamma}) < 0, no integral expansion")
-    y = pow(b, -1, p)
-    c = gamma.numerator
-    digits = []
-    for _ in range(m + 1):
-        a = y * c % p
-        digits.append(a)
-        c = (c - a * b) // p
-    return PAdicExpansion(p, tuple(digits))
+    if x.denominator % ctx.p == 0:
+        raise NegativeValuation(f"v_{ctx.p}({x}) < 0, no residue mod {ctx.p}^{m}")
+    q = ctx.p**m
+    return x.numerator * pow(x.denominator, -1, q) % q

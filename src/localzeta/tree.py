@@ -2,7 +2,8 @@
 
 The tree of a factored polynomial with integral roots is the union of the
 root stalks: a level-m vertex for every distinct residue of a root modulo
-p**m, m = 0..l_f+1, linked by reduction modulo p**(m-1).  The weight of a
+p**m, m = 0..l_f+1, linked by reduction modulo p**(m-1); every level's
+residue is read off one reduction of the root modulo p**(l_f+1).  The weight of a
 vertex is the total multiplicity of the roots in its residue class (0 at
 the root), the stalk weight accumulates weights along the path from the
 root, and the valence counts children.  Vertex ids are assigned level by
@@ -15,7 +16,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import MalformedDocument
-from .padic import PAdicContext, padic_expand
+from .padic import PAdicContext
+from .padic import residue as residue_mod
 from .polynomials import FactoredPoly
 
 
@@ -51,9 +53,9 @@ class WeightedTree:
 def build_tree(fplus: FactoredPoly, ctx: PAdicContext, l_f: int) -> WeightedTree:
     """Union of the root stalks up to level l_f + 1, with all weights.
 
-    Every root must have v_p >= 0 (reduce first).  Residues are obtained
-    from the p-adic digit expansions, so rational roots with denominators
-    coprime to p are handled exactly.
+    Every root must have v_p >= 0 (reduce first).  Each root is reduced
+    once modulo p**(l_f + 1) and each level takes that residue modulo p**m,
+    so rational roots with denominators coprime to p are handled exactly.
     """
     if l_f < 1:
         raise ValueError("separation depth must be >= 1")
@@ -61,13 +63,11 @@ def build_tree(fplus: FactoredPoly, ctx: PAdicContext, l_f: int) -> WeightedTree
     depth = l_f + 1
     weights: list[dict[int, int]] = [dict() for _ in range(depth + 1)]
     weights[0][0] = 0
+    moduli = [p**m for m in range(depth + 1)]
     for root, mult in fplus.roots:
-        digits = padic_expand(root, ctx, l_f).digits
-        residue = 0
-        power = 1
+        top = residue_mod(root, ctx, depth)
         for m in range(1, depth + 1):
-            residue += digits[m - 1] * power
-            power *= p
+            residue = top % moduli[m]
             weights[m][residue] = weights[m].get(residue, 0) + mult
 
     ids: dict[tuple[int, int], int] = {}
@@ -82,7 +82,7 @@ def build_tree(fplus: FactoredPoly, ctx: PAdicContext, l_f: int) -> WeightedTree
     for m in range(1, depth + 1):
         for residue in sorted(weights[m]):
             vid = ids[(m, residue)]
-            pid = ids[(m - 1, residue % p ** (m - 1))]
+            pid = ids[(m - 1, residue % moduli[m - 1])]
             parents[vid] = pid
             children[pid].append(vid)
 

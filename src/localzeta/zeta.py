@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import accumulate, zip_longest
 
 from .errors import InvariantViolation, MalformedDocument, RecursionDepthExceeded
-from .padic import PAdicContext
+from .padic import PAdicContext, residue
 from .polynomials import (
     DensePoly,
     FactoredPoly,
@@ -79,16 +79,11 @@ class ResidueClassification:
     groups: tuple[tuple[int, int, Roots], ...]
 
 
-def _residue_mod_p(root: Fraction, ctx: PAdicContext) -> int:
-    den_inv = pow(root.denominator, -1, ctx.p)
-    return root.numerator * den_inv % ctx.p
-
-
 def classify_residues(roots: Roots, ctx: PAdicContext) -> ResidueClassification:
     """Group roots by residue mod p and count unit / simple residues."""
     by_residue: dict[int, list[tuple[Fraction, int]]] = {}
     for root, mult in roots:
-        by_residue.setdefault(_residue_mod_p(root, ctx), []).append((root, mult))
+        by_residue.setdefault(residue(root, ctx, 1), []).append((root, mult))
     groups = []
     delta = 0
     for xi in sorted(by_residue):
@@ -113,7 +108,7 @@ def dilate(roots: Roots, xi: int, ctx: PAdicContext) -> Roots:
     return tuple(
         ((root - xi) / ctx.p, mult)
         for root, mult in roots
-        if _residue_mod_p(root, ctx) == xi
+        if residue(root, ctx, 1) == xi
     )
 
 
@@ -186,9 +181,18 @@ def spf_eval(roots: Roots, ctx: PAdicContext) -> ZetaFunction:
 
 
 def _separation_depth(roots: Roots, ctx: PAdicContext) -> int:
-    if not roots:
-        return 1
-    return compute_lf(FactoredPoly(Fraction(1), roots), ctx)
+    """A bound on l_f that needs no root pairs: least k >= 1 with p**k > 2*N*D.
+
+    For a = n/d and b = n'/d' with p prime to d and d',
+    v_p(a - b) <= v_p(n*d' - n'*d) <= log_p(2*N*D), where N and D are the
+    largest |numerator| and denominator, so 1 + max v_p(a - b) <= k.
+    """
+    n = max((abs(r.numerator) for r, _ in roots), default=0)
+    d = max((r.denominator for r, _ in roots), default=1)
+    k, power = 1, ctx.p
+    while power <= 2 * n * d:
+        k, power = k + 1, power * ctx.p
+    return k
 
 
 def _spf_terms(
@@ -196,7 +200,7 @@ def _spf_terms(
 ) -> list[ZetaTerm]:
     if depth > limit:
         raise RecursionDepthExceeded(
-            f"recursion reached depth {depth} with separation depth {limit - 1}"
+            f"recursion reached depth {depth} with depth bound {limit - 1}"
         )
     p = ctx.p
     if not roots:

@@ -1,6 +1,7 @@
 import json
 
-from localzeta import tree_from_json, zeta_from_json
+import localzeta.cli
+from localzeta import RationalFunctionT, tree_from_json, zeta_from_json
 from localzeta.cli import main
 
 
@@ -114,6 +115,18 @@ def test_verify_passes(capsys):
     assert status == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 5
+
+
+def test_verify_fails_on_a_wrong_poincare_series(capsys, monkeypatch):
+    # H = 1/(1 - t) instead of 5/(5 - t) for f = x at p = 5
+    monkeypatch.setattr(
+        localzeta.cli, "poincare", lambda z: RationalFunctionT((1,), (1, -1))
+    )
+    status, out, _ = run_cli(
+        capsys, "verify", "--poly", "x", "--prime", "5", "--max-m", "3"
+    )
+    assert status == 2
+    assert "FAIL  (1 - t)H + tZ = 1  [1/(1 - t)]" in out.splitlines()
 
 
 def test_verify_handles_non_integer_polynomials(capsys):

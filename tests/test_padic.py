@@ -8,15 +8,11 @@ from localzeta import (
     INFINITY,
     InvalidPrime,
     NegativeValuation,
-    NotInvertible,
     PAdicContext,
-    abs_p,
     is_prime,
-    mod_inverse,
-    padic_expand,
     vp,
 )
-from localzeta.padic import _is_strong_lucas_probable_prime
+from localzeta.padic import _is_strong_lucas_probable_prime, residue
 
 
 def test_context_accepts_primes():
@@ -121,44 +117,22 @@ def test_vp_examples():
     assert vp(0, PAdicContext(7)) == INFINITY
 
 
-def test_abs_p_examples():
-    assert abs_p(12, PAdicContext(2)) == Fraction(1, 4)
-    assert abs_p(Fraction(5, 6), PAdicContext(3)) == 3
-    assert abs_p(0, PAdicContext(7)) == 0
+def test_residue_examples():
+    # 1/2 = 2 + 3 + 9 + 27 + ... at p = 3, and 2 * 41 = 82 = 1 mod 81
+    assert residue(Fraction(1, 2), PAdicContext(3), 4) == 41
+    assert residue(5, PAdicContext(2), 4) == 5
+    assert residue(-1, PAdicContext(5), 3) == 124
+    assert residue(0, PAdicContext(5), 5) == 0
+    assert residue(Fraction(7, 5), PAdicContext(3), 0) == 0
 
 
-def test_mod_inverse_examples():
-    assert mod_inverse(2, PAdicContext(3)) == 2
-    assert mod_inverse(4, PAdicContext(7)) == 2
-    assert mod_inverse(1, PAdicContext(11)) == 1
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 13])
-def test_mod_inverse_everywhere(p):
-    ctx = PAdicContext(p)
-    for b in range(1, p):
-        assert mod_inverse(b, ctx) * b % p == 1
-
-
-def test_mod_inverse_rejects_multiples_of_p():
-    with pytest.raises(NotInvertible):
-        mod_inverse(21, PAdicContext(7))
-
-
-def test_padic_expand_examples():
-    assert padic_expand(Fraction(1, 2), PAdicContext(3), 3).digits == (2, 1, 1, 1)
-    # oracle: 2 * (2 + 3 + 9 + 27) = 82 = 1 mod 81
-    assert 2 * (2 + 3 + 9 + 27) % 81 == 1
-    assert padic_expand(5, PAdicContext(2), 3).digits == (1, 0, 1, 0)
-    assert padic_expand(0, PAdicContext(5), 4).digits == (0, 0, 0, 0, 0)
-
-
-def test_padic_expand_rejects_negative_valuation():
+def test_residue_rejects_negative_valuation():
     with pytest.raises(NegativeValuation):
-        padic_expand(Fraction(1, 3), PAdicContext(3), 2)
+        residue(Fraction(1, 3), PAdicContext(3), 2)
 
 
 def test_expansion_round_trip():
+    # the residue mod p**m is the p-adic expansion truncated to m digits
     rng = random.Random(7)
     for _ in range(300):
         p = rng.choice([2, 3, 5, 7])
@@ -168,10 +142,9 @@ def test_expansion_round_trip():
             den = rng.randint(1, 60)
         gamma = Fraction(rng.randint(-200, 200), den)
         m = rng.randint(0, 8)
-        exp = padic_expand(gamma, ctx, m)
-        assert len(exp.digits) == m + 1
-        assert all(0 <= a < p for a in exp.digits)
-        assert vp(gamma - exp.value(), ctx) >= m + 1
+        r = residue(gamma, ctx, m)
+        assert 0 <= r < p**m
+        assert vp(gamma - r, ctx) >= m
 
 
 def test_valuation_is_ultrametric():

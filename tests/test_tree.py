@@ -15,6 +15,7 @@ from localzeta import (
     tree_to_dot,
     tree_to_json,
     tree_to_text,
+    vp,
 )
 
 F = Fraction
@@ -151,6 +152,28 @@ def test_tree_invariants():
             1 for i in tree.levels[1] if tree.vertices[i].weight == 1
         )
         assert level1_light == sum(1 for e in residues.values() if e == 1)
+
+
+def test_vertex_residues_are_root_residues():
+    # each level-m vertex is the class of the roots within p**-m of its
+    # residue, at every level including l_f + 1; towers make l_f deep
+    rng = random.Random(31)
+    for _ in range(60):
+        p = rng.choice([2, 3, 5, 101])
+        ctx = PAdicContext(p)
+        f = random_factored(rng)
+        if any(r.denominator % p == 0 for r, _ in f.roots):
+            continue
+        tower = f.roots[0][0] + p ** rng.randint(1, 30)
+        if tower in dict(f.roots):
+            continue
+        f = FactoredPoly(F(1), f.roots + ((tower, 1),))
+        tree = build_tree(f, ctx, compute_lf(f, ctx))
+        for v in tree.vertices[1:]:
+            assert 0 <= v.residue < p**v.level
+            assert v.weight == sum(
+                e for r, e in f.roots if vp(r - v.residue, ctx) >= v.level
+            )
 
 
 def test_text_serialization_shape():

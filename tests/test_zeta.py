@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import localzeta
 import localzeta.padic
+import localzeta.zeta
 
 from localzeta import (
     RF_ONE,
@@ -52,7 +53,7 @@ from localzeta.errors import (
     RecursionDepthExceeded,
 )
 from localzeta.ratfunc import poly_divmod, poly_is_zero, poly_mul, poly_shift, poly_sub
-from localzeta.zeta import _spf_terms
+from localzeta.zeta import _separation_depth, _spf_terms
 
 F = Fraction
 
@@ -208,6 +209,50 @@ def test_recursion_depth_guard():
     roots = ((F(0), 2), (F(9), 1))
     with pytest.raises(RecursionDepthExceeded):
         _spf_terms(roots, ctx, depth=5, limit=4)
+
+
+@st.composite
+def separation_cases(draw):
+    """A prime and distinct roots with v_p >= 0: integers, rationals with
+    denominators prime to p, and towers a + p**k over an earlier root."""
+    p = draw(st.sampled_from([2, 3, 5, 101]))
+    roots = {}
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["integer", "rational", "tower"]))
+        a = F(draw(st.integers(-10**6, 10**6)))
+        if kind == "rational":
+            a /= draw(st.integers(1, 10**4).filter(lambda d: d % p))
+        elif kind == "tower" and roots:
+            a = draw(st.sampled_from(sorted(roots))) + p ** draw(st.integers(1, 60))
+        roots[a] = draw(st.integers(1, 4))
+    return PAdicContext(p), tuple(roots.items())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(separation_cases())
+def test_depth_bound_covers_the_separation_depth(case):
+    ctx, roots = case
+    assert _separation_depth(roots, ctx) >= compute_lf(FactoredPoly(F(1), roots), ctx)
+
+
+def test_spf_agrees_with_the_tree_on_a_deep_tower():
+    # (x - 1)^3 (x - 1 - 3^40)^2: the two roots separate only at level 41
+    ctx = PAdicContext(3)
+    f = FactoredPoly(F(1), ((F(1), 3), (F(1 + 3**40), 2)))
+    assert compute_lf(f, ctx) == 41
+    assert rf_equal(
+        normalize(compute_zeta(f, ctx, method="tree")),
+        normalize(compute_zeta(f, ctx, method="spf")),
+    )
+
+
+def test_spf_does_not_compute_the_separation_depth(monkeypatch):
+    def pairwise(*args):
+        raise AssertionError("spf called compute_lf")
+
+    monkeypatch.setattr(localzeta.zeta, "compute_lf", pairwise)
+    z = compute_zeta(parse_poly("(x-1)^2*(x-4)*(x-10)^3"), PAdicContext(3), method="spf")
+    assert rf_eval(normalize(z), 1) == 1
 
 
 def test_recursion_identity_direct():
