@@ -14,6 +14,7 @@ from .counting import (
     coeff_stream,
     count_sequence,
     counts_from_coeffs,
+    solution_counts,
 )
 from .errors import (
     CandidateOverflow,

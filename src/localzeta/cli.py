@@ -16,11 +16,13 @@ import sys
 from .counting import (
     DEFAULT_CAP,
     brute_counts_upto,
-    coeff_stream,
     count_sequence,
-    counts_from_coeffs,
+    decimal,
+    poincare_counts,
+    solution_counts,
+    tree_counts,
 )
-from .errors import LocalZetaError
+from .errors import LocalZetaError, NonIntegralCount
 from .lfsr import Lfsr, keystream, lfsr_run, period_of
 from .padic import PAdicContext
 from .polynomials import (
@@ -29,7 +31,7 @@ from .polynomials import (
     parse_poly,
     reduce_to_integral_roots,
 )
-from .ratfunc import poly_add, poly_mul, rf_equal, rf_eval, rf_format, rf_series
+from .ratfunc import poly_add, poly_mul, rf_equal, rf_eval, rf_format
 from .tree import build_tree, tree_to_dot, tree_to_json, tree_to_text
 from .zeta import compute_zeta, normalize, poincare, zeta_text, zeta_to_json
 
@@ -80,29 +82,26 @@ def _cmd_count(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
         if args.format == "json":
             doc = {
                 "p": str(ctx.p),
-                "counts": [str(v) for v in seq.counts],
-                "coeffs": [str(c) for c in seq.coeffs],
+                "counts": [decimal(v) for v in seq.counts],
+                "coeffs": [decimal(c) for c in seq.coeffs],
             }
             return 0, json.dumps(doc, indent=2)
-        return 0, "\n".join(f"N_{m} = {v}" for m, v in enumerate(seq.counts))
+        return 0, "\n".join(f"N_{m} = {decimal(v)}" for m, v in enumerate(seq.counts))
     columns = {}
     for method in ("tree", "spf", "brute"):
-        columns[method] = count_sequence(
-            f, ctx, args.max_m, method, cap=args.brute_cap
-        ).counts
+        columns[method] = solution_counts(f, ctx, args.max_m, method, cap=args.brute_cap)
     agree = columns["tree"] == columns["spf"] == columns["brute"]
     if args.format == "json":
         doc = {
             "p": str(ctx.p),
-            "methods": {k: [str(v) for v in vs] for k, vs in columns.items()},
+            "methods": {k: [decimal(v) for v in vs] for k, vs in columns.items()},
             "agree": agree,
         }
         return (0 if agree else 2), json.dumps(doc, indent=2)
     lines = ["m\ttree\tspf\tbrute"]
     for m in range(args.max_m + 1):
-        lines.append(
-            f"{m}\t{columns['tree'][m]}\t{columns['spf'][m]}\t{columns['brute'][m]}"
-        )
+        row = (decimal(columns[method][m]) for method in ("tree", "spf", "brute"))
+        lines.append("\t".join((str(m), *row)))
     lines.append("all methods agree" if agree else "METHOD MISMATCH")
     return (0 if agree else 2), "\n".join(lines)
 
@@ -169,8 +168,13 @@ def _cmd_verify(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
     checks.append(("(1 - t)H + tZ = 1", lhs == poly_mul(hd, zd), rf_format(h)))
 
     if z_tree.shift >= 0:
-        expanded = coeff_stream(z_tree, args.max_m)
-        divided = rf_series(rf_tree, args.max_m + 1)
+        # N_0..N_(max_m+1) carry the same information as c_0..c_max_m;
+        # the H(pu) side is the long division of num'/den'
+        expanded = tree_counts(z_tree, args.max_m + 1)
+        try:
+            divided = poincare_counts(h, ctx.p, args.max_m + 1)
+        except NonIntegralCount:
+            divided = None
         checks.append(
             ("term expansion equals long-division series", expanded == divided, "")
         )
@@ -179,12 +183,12 @@ def _cmd_verify(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
     except LocalZetaError:
         dense = None
     if dense is not None and z_tree.shift >= 0:
-        counts = counts_from_coeffs(expanded, ctx, args.max_m)
+        counts = expanded[: args.max_m + 1]
         ok = all(
             0 <= counts[n + 1] <= ctx.p * counts[n] for n in range(len(counts) - 1)
         )
         checks.append(("counts are integral and within lifting bounds", ok,
-                       " ".join(str(v) for v in counts)))
+                       " ".join(map(decimal, counts))))
         n_brute = 0
         while n_brute < args.max_m and ctx.p ** (n_brute + 1) <= args.brute_cap:
             n_brute += 1

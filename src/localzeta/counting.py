@@ -1,17 +1,27 @@
-"""Series coefficients c_m, solution counts N_n, and the brute-force oracle.
+"""Solution counts N_m, series coefficients c_m, and the brute-force oracle.
 
 c_m is the measure of {x : v_p(f(x)) = m}, i.e. the t**m coefficient of
-Z(t, f); the counts follow from N_n = p**n (1 - sum_{j<=n} c_{j-1}).  Two
-independent coefficient routes are implemented (term-by-term geometric
-expansion, and long division of the normalized rational function).  The
-brute-force oracle counts the solutions of f = 0 mod p**m directly, by
-lifting the solutions mod p**m to those mod p**(m+1) one digit at a time,
-and counts a residue class outright once the Taylor coefficients of f fix
-v_p(f) on it.
+Z(t, f), and N_(m+1) = p*N_m - p**(m+1)*c_m with N_0 = 1.  The counts are
+computed in integers on two independent routes:
+
+* tree: the terms of the tree evaluator are expanded geometrically, with
+  p**(m+1)*c_m kept as an integer at one common scale (``tree_counts``);
+* spf: sum N_m u**m = H(pu), so the counts are the long division of the
+  residue recursion's Poincare series with its coefficients rescaled by
+  powers of p (``poincare_counts``).
+
+Both routes are checked by the same integer test (``check_counts``), and
+the c_m are derived from the counts only where a caller reports them.
+``coeff_stream`` and ``counts_from_coeffs`` keep the rational-arithmetic
+reference.  The brute-force oracle counts the solutions of f = 0 mod p**m
+directly, by lifting the solutions mod p**m to those mod p**(m+1) one
+digit at a time, and counts a residue class outright once the Taylor
+coefficients of f fix v_p(f) on it.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,8 +30,8 @@ import numpy as np
 from .errors import CapExceeded, LocalZetaError, NegativeShift, NonIntegralCount
 from .padic import PAdicContext
 from .polynomials import DensePoly, FactoredPoly, as_integer_poly
-from .ratfunc import rf_series
-from .zeta import ZetaFunction, compute_zeta, normalize
+from .ratfunc import RationalFunctionT
+from .zeta import ZetaFunction, compute_zeta, poincare
 
 DEFAULT_CAP = 10**7
 _VECTOR_LIMIT = 2**31  # int64 stays exact: residues < 2**31, products < 2**62
@@ -37,19 +47,115 @@ class CountSequence:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        total = Fraction(0)
+        """Re-derive N_(m+1) = p*N_m - p**(m+1)*c_m in integers.
+
+        Every p**(m+1)*c_m must be an integer, every derived count must
+        equal the given one, and the counts (given or derived past the
+        given ones) must satisfy N_0 = 1 and 0 <= N_(m+1) <= p*N_m, which
+        is 0 <= c_m and c_0 + ... + c_m <= 1.
+        """
+        p = self.p
+        counts = list(self.counts) or [1]
+        power = 1
         for m, c in enumerate(self.coeffs):
-            if c < 0 or c > 1 or self.p ** (m + 1) % c.denominator != 0:
-                raise NonIntegralCount(f"c_{m} = {c} is out of range")
-            total += c
-            if total > 1:
-                raise NonIntegralCount("partial coefficient sums exceed 1")
-        if self.counts:
-            if self.counts[0] != 1:
-                raise NonIntegralCount("N_0 must be 1")
-            for n in range(1, len(self.counts)):
-                if not 0 <= self.counts[n] <= self.p * self.counts[n - 1]:
-                    raise NonIntegralCount(f"N_{n} violates the lifting bound")
+            power *= p
+            if power % c.denominator:
+                raise NonIntegralCount(f"p^{m + 1} * c_{m} = p^{m + 1} * {c} is not an integer")
+            derived = p * counts[m] - c.numerator * (power // c.denominator)
+            if m + 1 == len(counts):
+                counts.append(derived)
+            elif counts[m + 1] != derived:
+                raise NonIntegralCount(
+                    f"c_{m} = {c} gives N_{m + 1} = {derived}, not {counts[m + 1]}"
+                )
+        check_counts(counts, p)
+
+
+def check_counts(counts: list[int], p: int) -> list[int]:
+    """The counts unchanged, after checking N_0 = 1 and 0 <= N_(n+1) <= p*N_n.
+
+    With p**(n+1)*c_n = p*N_n - N_(n+1), integer counts that pass are
+    exactly those of coefficients with 0 <= c_n, p**(n+1)*c_n in Z and
+    partial sums at most 1.  A violation means an upstream bug and raises
+    NonIntegralCount.
+    """
+    if counts[0] != 1:
+        raise NonIntegralCount("N_0 must be 1")
+    for n in range(1, len(counts)):
+        if not 0 <= counts[n] <= p * counts[n - 1]:
+            raise NonIntegralCount(f"N_{n} violates the lifting bound")
+    return counts
+
+
+def tree_counts(z: ZetaFunction, n: int) -> list[int]:
+    """N_0..N_n from the terms of Z, in integers and without normalizing Z.
+
+    A term c*t**a/(1 - t**b/p) puts c/p**y at exponent a + y*b.  With
+    S_m = p**(m+1)*c_m, N_(m+1) = p*N_m - S_m.  The terms are summed per
+    den_pow b into P_b (indexed by exponent, the shift included), and the
+    share of bucket b in S_m obeys U_b(m) = p**(m+1)*P_b[m] +
+    p**(b-1)*U_b(m-b) (the second summand only for b >= 1).  The sums run
+    at the common scale p**E, E the largest p-exponent of a coefficient
+    denominator, and each S_m is divided by p**E exactly at the end; a
+    remainder, or a denominator that is not a power of p, raises
+    NonIntegralCount.
+    """
+    if z.shift < 0:
+        raise NegativeShift(f"shift {z.shift} < 0: not a power series in t")
+    p = z.ctx.p
+    denominator = max((t.coeff.denominator for t in z.terms), default=1)
+    scale = 1
+    while scale < denominator:
+        scale *= p
+    buckets: dict[int, list[int]] = {}
+    for term in z.terms:
+        if scale % term.coeff.denominator:
+            raise NonIntegralCount(
+                f"term coefficient {term.coeff} has a denominator that is not a power of {p}"
+            )
+        start = term.t_pow + z.shift
+        if start < n:
+            bucket = buckets.setdefault(term.den_pow, [0] * n)
+            bucket[start] += term.coeff.numerator * (scale // term.coeff.denominator)
+    total = [0] * n  # p**E * S_m
+    for b, share in buckets.items():  # P_b becomes p**E * U_b in place
+        power, step = 1, p ** (b - 1) if b else 0
+        for m in range(n):
+            power *= p
+            share[m] *= power
+            if step and m >= b:
+                share[m] += step * share[m - b]
+            total[m] += share[m]
+    counts = [1]
+    for m in range(n):
+        s, rest = divmod(total[m], scale)
+        if rest:
+            raise NonIntegralCount(f"p^{m + 1} * c_{m} is not an integer")
+        counts.append(p * counts[m] - s)
+    return counts
+
+
+def poincare_counts(h: RationalFunctionT, p: int, n: int) -> list[int]:
+    """N_0..N_n as the series of H(pu) = sum N_m u**m, by exact long division.
+
+    With H = num/den, num'_i = p**i*num_i and den'_j = p**j*den_j, so
+    N_m = (num'_m - sum_(j >= 1) den'_j*N_(m-j)) / den'_0.  A division that
+    is not exact raises NonIntegralCount.
+    """
+    num = [c * p**i for i, c in enumerate(h.numerator[: n + 1])]
+    num += [0] * (n + 1 - len(num))
+    den = [c * p**j for j, c in enumerate(h.denominator[: n + 1])]
+    lead, den = den[0], den[1:]
+    if lead == 0:
+        raise NonIntegralCount("H(pu) has a denominator with zero constant term")
+    counts: list[int] = []
+    for m in range(n + 1):
+        acc = num[m] - sum(d * c for d, c in zip(den, reversed(counts)))
+        value, rest = divmod(acc, lead)
+        if rest:
+            raise NonIntegralCount(f"N_{m} is not an integer: den'_0 does not divide")
+        counts.append(value)
+    return counts
 
 
 def coeff_stream(z: ZetaFunction, max_m: int) -> list[Fraction]:
@@ -128,7 +234,11 @@ def brute_counts_upto(
     coeffs = [int(c) for c in as_integer_poly(f).coefficients]
     p = ctx.p
     if p**n > cap:
-        raise CapExceeded(f"p^{n} = {p**n} exceeds the cap {cap}")
+        try:
+            size = f"p^{n} = {p**n}"
+        except ValueError:  # p**n is past the int-to-str digit limit
+            size = f"p^{n}"
+        raise CapExceeded(f"{size} exceeds the cap {cap}")
     dtype = np.int64 if p**n <= _VECTOR_LIMIT else object
     counts = [1] + [0] * n
     survivors = np.zeros(1, dtype=dtype)  # the single class mod p**0
@@ -204,6 +314,49 @@ def _settle(
 # ---------------------------------------------------------------------------
 
 
+def _checked_counts(
+    f: DensePoly | FactoredPoly, ctx: PAdicContext, u: int, method: str, cap: int
+) -> list[int]:
+    """N_0..N_(u+1) by `tree` or `spf`, N_0..N_u by `brute`; checked.
+
+    The evaluator routes go one level further so that c_u passes the same
+    integer test as c_0..c_(u-1); the oracle stops at the depth the cap
+    was asked for.
+    """
+    if u < 0:
+        raise LocalZetaError("max-m/length must be nonnegative")
+    dense = as_integer_poly(f)
+    if method == "brute":
+        counts = brute_counts_upto(dense, ctx, u, cap=cap)
+    elif method == "tree":
+        counts = tree_counts(compute_zeta(f, ctx, method="tree"), u + 1)
+    elif method == "spf":
+        z = compute_zeta(f, ctx, method="spf")
+        if z.shift < 0:
+            raise NegativeShift(f"shift {z.shift} < 0: not a power series in t")
+        counts = poincare_counts(poincare(z), ctx.p, u + 1)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return check_counts(counts, ctx.p)
+
+
+def solution_counts(
+    f: DensePoly | FactoredPoly,
+    ctx: PAdicContext,
+    u: int,
+    method: str = "tree",
+    cap: int = DEFAULT_CAP,
+) -> list[int]:
+    """N_0..N_u for f in Z[x] by the chosen method, in integers and checked.
+
+    `tree` expands the tree terms and `spf` long-divides H(pu) from the
+    residue recursion (see ``tree_counts`` and ``poincare_counts``);
+    `brute` counts the solutions by lifting them digit by digit, so it
+    never sees the zeta function at all.  No coefficient c_m is formed.
+    """
+    return _checked_counts(f, ctx, u, method, cap)[: u + 1]
+
+
 def count_sequence(
     f: DensePoly | FactoredPoly,
     ctx: PAdicContext,
@@ -213,32 +366,30 @@ def count_sequence(
 ) -> CountSequence:
     """c_0..c_max_m and N_0..N_max_m for f in Z[x], by the chosen method.
 
-    `tree` expands the tree terms; `spf` long-divides the normalized
-    recursive evaluation (a fully independent coefficient route); `brute`
-    counts the solutions by lifting them digit by digit and derives the
-    coefficients from the counts (c_{j-1} = N_{j-1}/p**(j-1) - N_j/p**j),
-    so it never sees the zeta function at all.
+    The counts are those of ``solution_counts``, and the coefficients come
+    from them as c_m = (p*N_m - N_(m+1)) / p**(m+1).  `tree` and `spf`
+    reach N_(max_m+1) and so give c_max_m; `brute` gives c_0..c_(max_m-1).
     """
-    if max_m < 0:
-        raise LocalZetaError("max-m/length must be nonnegative")
-    dense = as_integer_poly(f)
+    counts = _checked_counts(f, ctx, max_m, method, cap)
     p = ctx.p
-    if method == "brute":
-        counts = brute_counts_upto(dense, ctx, max_m, cap=cap)
-        coeffs = [
-            Fraction(counts[j - 1], p ** (j - 1)) - Fraction(counts[j], p**j)
-            for j in range(1, max_m + 1)
-        ]
-        return CountSequence(p=p, coeffs=tuple(coeffs), counts=tuple(counts))
-    if method == "tree":
-        z = compute_zeta(f, ctx, method="tree")
-        coeffs = coeff_stream(z, max_m)
-    elif method == "spf":
-        z = compute_zeta(f, ctx, method="spf")
-        if z.shift < 0:
-            raise NegativeShift(f"shift {z.shift} < 0: not a power series in t")
-        coeffs = rf_series(normalize(z), max_m + 1)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    counts = counts_from_coeffs(coeffs, ctx, max_m)
-    return CountSequence(p=p, coeffs=tuple(coeffs), counts=tuple(counts))
+    coeffs = tuple(
+        Fraction(p * counts[m] - counts[m + 1], p ** (m + 1))
+        for m in range(len(counts) - 1)
+    )
+    return CountSequence(p=p, coeffs=coeffs, counts=tuple(counts[: max_m + 1]))
+
+
+def decimal(value: int | Fraction) -> str:
+    """str(value), or CapExceeded past the interpreter's int-to-str digit limit.
+
+    The limit itself is left as it is.  Interpreters before 3.10.7 have no
+    limit (and no sys.get_int_max_str_digits), so str never fails there
+    and the handler is reached only where the limit exists.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise CapExceeded(
+            "a value has more decimal digits than the int-to-str limit of "
+            f"{sys.get_int_max_str_digits()}"
+        ) from None

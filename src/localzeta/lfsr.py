@@ -12,13 +12,22 @@ roots to its count sequence N_0..N_u.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-from .counting import DEFAULT_CAP, count_sequence
-from .errors import DegenerateTaps, DegreeViolation, InvalidPrime, LocalZetaError
+from .counting import DEFAULT_CAP, decimal, solution_counts
+from .errors import (
+    CapExceeded,
+    DegenerateTaps,
+    DegreeViolation,
+    InvalidPrime,
+    LocalZetaError,
+)
 from .padic import PAdicContext, is_prime
 from .polynomials import DensePoly, FactoredPoly
 
 CoeffPair = tuple[tuple[int, ...], tuple[int, ...]]  # (L, R) coefficients mod p
+
+PERIOD_STEP_BUDGET = 10**6  # register steps period_of may take before CapExceeded
 
 
 class Lfsr:
@@ -38,7 +47,8 @@ class Lfsr:
             raise InvalidPrime(f"modulus must be prime, got {p!r}")
         self.p = p
         self.taps = tuple(q % p for q in taps)
-        self._window = [a % p for a in init]
+        self._aligned = self.taps[::-1]  # q_r..q_1, against the window oldest first
+        self._window = tuple(a % p for a in init)
 
     @property
     def r(self) -> int:
@@ -47,19 +57,17 @@ class Lfsr:
     @property
     def state(self) -> tuple[int, ...]:
         """Current cell contents: the next r outputs, oldest first."""
-        return tuple(self._window)
+        return self._window
 
     def copy(self) -> "Lfsr":
         return Lfsr(self.p, self.taps, self._window)
 
     def step(self) -> int:
         """Emit the oldest cell and feed back the new element."""
-        out = self._window[0]
-        feedback = -sum(
-            q * a for q, a in zip(self.taps, reversed(self._window))
-        ) % self.p
-        self._window = self._window[1:] + [feedback]
-        return out
+        window = self._window
+        feedback = -sum(map(mul, self._aligned, window)) % self.p
+        self._window = window[1:] + (feedback,)
+        return window[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lfsr):
@@ -78,21 +86,29 @@ def lfsr_run(register: Lfsr, steps: int) -> list[int]:
 
 
 def period_of(register: Lfsr) -> int:
-    """Eventual period of the output sequence, by state-cycle detection.
+    """Eventual period of the output sequence, by Brent's cycle detection.
 
     The state is a window of the output sequence, so the cycle length of
-    the state orbit equals the eventual output period.
+    the state orbit equals the eventual output period.  Brent's method
+    keeps two states, not the orbit, and takes fewer than
+    2*max(tail + 1, period) + period steps; past PERIOD_STEP_BUDGET steps
+    it raises CapExceeded.
     """
     sim = register.copy()
-    seen: dict[tuple[int, ...], int] = {}
-    i = 0
-    state = sim.state
-    while state not in seen:
-        seen[state] = i
+    saved = sim.state
+    sim.step()
+    power = period = steps = 1
+    while sim.state != saved:
+        if steps >= PERIOD_STEP_BUDGET:
+            raise CapExceeded(
+                f"no period found within the budget of {PERIOD_STEP_BUDGET} register steps"
+            )
+        if period == power:
+            saved, power, period = sim.state, 2 * power, 0
         sim.step()
-        state = sim.state
-        i += 1
-    return i - seen[state]
+        period += 1
+        steps += 1
+    return period
 
 
 def lfsr_generating_function(register: Lfsr) -> CoeffPair:
@@ -173,13 +189,13 @@ class Keystream:
 
     def to_text(self) -> str:
         """Wire format: decimal big integers, one per line."""
-        return "\n".join(str(v) for v in self.values)
+        return "\n".join(map(decimal, self.values))
 
     def to_bytes(self) -> bytes:
         return self.to_text().encode("ascii")
 
     def to_json(self) -> dict:
-        return {"p": str(self.p), "u": self.u, "values": [str(v) for v in self.values]}
+        return {"p": str(self.p), "u": self.u, "values": [decimal(v) for v in self.values]}
 
 
 def keystream(
@@ -189,6 +205,10 @@ def keystream(
     method: str = "tree",
     cap: int = DEFAULT_CAP,
 ) -> Keystream:
-    """N_0..N_u through the full pipeline (or the brute-force oracle)."""
-    seq = count_sequence(f, ctx, u, method=method, cap=cap)
-    return Keystream(p=ctx.p, u=u, values=seq.counts)
+    """N_0..N_u through the full pipeline (or the brute-force oracle).
+
+    The counts come from ``solution_counts`` in integers; no coefficient
+    c_m is formed.
+    """
+    counts = solution_counts(f, ctx, u, method=method, cap=cap)
+    return Keystream(p=ctx.p, u=u, values=tuple(counts))

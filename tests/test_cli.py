@@ -1,4 +1,7 @@
 import json
+import sys
+
+import pytest
 
 import localzeta.cli
 from localzeta import RationalFunctionT, tree_from_json, zeta_from_json
@@ -127,6 +130,20 @@ def test_verify_fails_on_a_wrong_poincare_series(capsys, monkeypatch):
     )
     assert status == 2
     assert "FAIL  (1 - t)H + tZ = 1  [1/(1 - t)]" in out.splitlines()
+    # the series check reads N_m = 5^m off H(5u) against the tree's N_m = 1
+    assert "FAIL  term expansion equals long-division series" in out.splitlines()
+
+
+def test_verify_reports_a_poincare_series_without_integer_counts(capsys, monkeypatch):
+    # H = 1/(2 - t) gives N_0 = 1/2: a FAIL line, not an exception
+    monkeypatch.setattr(
+        localzeta.cli, "poincare", lambda z: RationalFunctionT((1,), (2, -1))
+    )
+    status, out, _ = run_cli(
+        capsys, "verify", "--poly", "x", "--prime", "5", "--max-m", "3"
+    )
+    assert status == 2
+    assert "FAIL  term expansion equals long-division series" in out.splitlines()
 
 
 def test_verify_handles_non_integer_polynomials(capsys):
@@ -220,3 +237,47 @@ def test_verify_reaches_deep_brute_levels(capsys):
     )
     assert status == 0
     assert "PASS  brute-force counts match up to m = 60" in out
+
+
+def test_lfsr_period_search_stops_at_its_budget(capsys):
+    status, out, err = run_cli(
+        capsys, "lfsr", "--prime", "1000003", "--taps", "2,3,5", "--init", "1,0,0",
+        "--period",
+    )
+    assert status == 1 and out == ""
+    assert err == ("error: CapExceeded: no period found within the budget of "
+                   "1000000 register steps\n")
+
+
+DEFAULT_DIGIT_LIMIT = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 4300,
+    reason="needs the default int-to-str digit limit",
+)
+
+
+@DEFAULT_DIGIT_LIMIT
+@pytest.mark.parametrize("argv", [
+    ["keystream", "--poly", "(x-1)^4", "--prime", "101", "--length", "3000"],
+    ["keystream", "--poly", "(x-1)^4", "--prime", "101", "--length", "3000",
+     "--format", "json"],
+    ["count", "--poly", "(x-1)^4", "--prime", "1000003", "--max-m", "1000"],
+    ["count", "--poly", "(x-1)^4", "--prime", "1000003", "--max-m", "1000",
+     "--format", "json"],
+])
+def test_values_past_the_digit_limit_exit_one(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 1 and out == ""
+    assert err.startswith("error: CapExceeded: ") and str(limit) in err
+    assert "Traceback" not in err
+
+
+@DEFAULT_DIGIT_LIMIT
+def test_brute_cap_message_past_the_digit_limit(capsys):
+    # p^3000 has 6013 digits, so the message names the power only
+    status, _, err = run_cli(
+        capsys, "count", "--poly", "x", "--prime", "101", "--max-m", "3000",
+        "--method", "brute",
+    )
+    assert status == 1
+    assert err == "error: CapExceeded: p^3000 exceeds the cap 10000000\n"

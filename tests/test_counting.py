@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +18,9 @@ from localzeta import (
     NegativeShift,
     NonIntegralCount,
     PAdicContext,
+    RationalFunctionT,
+    ZetaFunction,
+    ZetaTerm,
     brute_counts_upto,
     coeff_stream,
     compute_zeta,
@@ -25,9 +29,12 @@ from localzeta import (
     keystream,
     normalize,
     parse_poly,
+    poincare,
     rf_eval,
     rf_series,
+    solution_counts,
 )
+from localzeta.counting import poincare_counts, tree_counts
 
 F = Fraction
 
@@ -221,6 +228,13 @@ def test_count_sequence_validation():
         CountSequence(p=3, coeffs=(), counts=(2,))
     with pytest.raises(NonIntegralCount):
         CountSequence(p=3, coeffs=(), counts=(1, 7))
+    # c_0 = 1/3 forces N_1 = 3*1 - 3*(1/3) = 2
+    with pytest.raises(NonIntegralCount, match="gives N_1 = 2, not 3"):
+        CountSequence(p=3, coeffs=(F(1, 3), F(0)), counts=(1, 3))
+    CountSequence(p=3, coeffs=(F(1, 3), F(0)), counts=(1, 2))
+    # past the given counts, the derived ones must still obey the bounds
+    with pytest.raises(NonIntegralCount, match="lifting bound"):
+        CountSequence(p=3, coeffs=(F(1, 3), F(1)), counts=(1, 2))
 
 
 def test_brute_counts_upto_rejects_negative_depth():
@@ -237,6 +251,110 @@ def test_count_sequence_rejects_negative_depth(method):
 def test_keystream_rejects_negative_depth():
     with pytest.raises(LocalZetaError, match="max-m/length must be nonnegative"):
         keystream(parse_poly("x"), PAdicContext(3), -2, method="brute")
+
+
+# ---------------------------------------------------------------------------
+# the two integer count routes
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def route_cases(draw):
+    """(f, p, u, kind): an integer polynomial with rational roots, u <= 200.
+
+    Roots are integers, fractions with denominators prime to p, or a tower
+    (x - 1)^3 (x - 1 - p^k)^2 whose roots agree to k digits.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 101]))
+    kind = draw(st.sampled_from(["integral", "rational", "tower"]))
+    if kind == "tower":
+        roots = {F(1): 3, F(1 + p ** draw(st.integers(1, 12))): 2}
+    else:
+        roots = {}
+        for _ in range(draw(st.integers(1, 5))):
+            den = 1
+            if kind == "rational":
+                den = draw(st.integers(1, 12).filter(lambda d: d % p))
+            roots[F(draw(st.integers(-60, 60)), den)] = draw(st.integers(1, 3))
+    lead = math.prod(r.denominator**e for r, e in roots.items())
+    f = FactoredPoly(F(lead), tuple(sorted(roots.items())))
+    return f, p, draw(st.integers(0, 200)), kind
+
+
+def test_integer_routes_match_the_rational_reference():
+    reached = {"integral": 0, "rational": 0, "tower": 0, "brute": 0}
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(route_cases())
+    def check(case):
+        f, p, u, kind = case
+        ctx = PAdicContext(p)
+        z = compute_zeta(f, ctx, method="tree")
+        tree = tree_counts(z, u)
+        spf = poincare_counts(poincare(compute_zeta(f, ctx, method="spf")), p, u)
+        assert tree == spf == counts_from_coeffs(coeff_stream(z, u), ctx, u)
+        for method in ("tree", "spf"):
+            assert solution_counts(f, ctx, u, method) == tree
+        n = min(u, max(n for n in range(21) if p**n <= 10**6))
+        assert brute_counts_upto(f, ctx, n, cap=10**6) == tree[: n + 1]
+        reached[kind] += 1
+        reached["brute"] += n >= 3
+
+    check()
+    assert all(reached.values()), reached
+
+
+def test_keystream_needs_no_fraction_and_no_normal_form(monkeypatch):
+    import localzeta.counting as counting
+    import localzeta.zeta as zeta
+
+    f = parse_poly("5*(x-1)^3*(x-4)^2*(x+7)*(x - 2/5)")
+    ctx = PAdicContext(3)
+    expected = {m: keystream(f, ctx, 80, method=m).values for m in ("tree", "spf")}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the keystream path")
+
+    monkeypatch.setattr(zeta, "normalize", forbidden)
+    monkeypatch.setattr(counting, "coeff_stream", forbidden)
+    monkeypatch.setattr(counting, "Fraction", forbidden)
+    for method, values in expected.items():
+        assert keystream(f, ctx, 80, method=method).values == values
+    assert expected["tree"] == expected["spf"]
+
+
+def test_poincare_counts_rejects_a_corrupted_denominator(monkeypatch):
+    import localzeta.counting as counting
+
+    ctx = PAdicContext(3)
+    f = parse_poly("(x-1)^2*(x-4)")
+    h = poincare(compute_zeta(f, ctx, method="spf"))
+    assert poincare_counts(h, 3, 5) == [1, 1, 3, 9, 18, 36]
+    for lead in (2 * h.denominator[0], 0):
+        bad = RationalFunctionT(h.numerator, (lead,) + h.denominator[1:])
+        with pytest.raises(NonIntegralCount):
+            poincare_counts(bad, 3, 5)
+    # through the pipeline: a wrong den'_0 is caught, not rounded
+    doubled = RationalFunctionT(h.numerator, tuple(2 * c if i == 0 else c
+                                                   for i, c in enumerate(h.denominator)))
+    monkeypatch.setattr(counting, "poincare", lambda z: doubled)
+    with pytest.raises(NonIntegralCount):
+        keystream(f, ctx, 5, method="spf")
+
+
+def test_tree_counts_reject_coefficients_off_the_p_scale():
+    ctx = PAdicContext(3)
+    # c_0 = 1/2: the denominator is not a power of 3
+    with pytest.raises(NonIntegralCount, match="not a power of 3"):
+        tree_counts(ZetaFunction(ctx, 0, (ZetaTerm(F(1, 2), 0, 0),)), 2)
+    # c_0 = 1/9: 3 * c_0 is not an integer
+    with pytest.raises(NonIntegralCount, match="not an integer"):
+        tree_counts(ZetaFunction(ctx, 0, (ZetaTerm(F(1, 9), 0, 0),)), 2)
+    with pytest.raises(NegativeShift):
+        tree_counts(ZetaFunction(ctx, -1, (ZetaTerm(F(1), 0, 0),)), 2)
+    # the geometric term (2/3)/(1 - t/3) of f = x: N_m = 1 at every level
+    z = ZetaFunction(ctx, 0, (ZetaTerm(F(2, 3), 0, 1),))
+    assert tree_counts(z, 6) == [1] * 7
 
 
 # ---------------------------------------------------------------------------

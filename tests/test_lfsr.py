@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import localzeta.lfsr
 from localzeta import (
+    CapExceeded,
     DegenerateTaps,
     DegreeViolation,
     InvalidPrime,
@@ -89,6 +91,38 @@ def test_period_bound():
         if all(a == 0 for a in init):
             init[0] = 1
         assert 1 <= period_of(Lfsr(p, taps, init)) <= p**r - 1
+
+
+def stored_orbit_period(p, taps, init):
+    """Eventual period by keeping every state of the orbit."""
+    seen = {}
+    state = tuple(init)
+    while state not in seen:
+        seen[state] = len(seen)
+        state = state[1:] + (-sum(q * a for q, a in zip(taps, reversed(state))) % p,)
+    return len(seen) - seen[state]
+
+
+def test_period_matches_a_stored_orbit():
+    # q_r = 0 is allowed here, so some orbits run through a tail first
+    rng = random.Random(17)
+    tails = 0
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7])
+        r = rng.randint(1, 5)
+        taps = tuple(rng.randrange(p) for _ in range(r))
+        init = tuple(rng.randrange(p) for _ in range(r))
+        assert period_of(Lfsr(p, taps, init)) == stored_orbit_period(p, taps, init)
+        tails += taps[-1] == 0 and any(init)
+    assert tails
+
+
+def test_period_search_is_bounded(monkeypatch):
+    monkeypatch.setattr(localzeta.lfsr, "PERIOD_STEP_BUDGET", 1000)
+    assert period_of(Lfsr(2, (1, 0, 0, 1), (1, 0, 0, 0))) == 15
+    # period up to 1000003**3 - 1: stopped at the budget, not searched out
+    with pytest.raises(CapExceeded, match="budget of 1000 register steps"):
+        period_of(Lfsr(1000003, (2, 3, 5), (1, 0, 0)))
 
 
 def test_generating_function_series_match():
