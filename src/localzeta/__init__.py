@@ -17,7 +17,6 @@ from .counting import (
     solution_counts,
 )
 from .errors import (
-    CandidateOverflow,
     CapExceeded,
     ConstantPolynomial,
     DegenerateTaps,

@@ -233,13 +233,20 @@ def brute_counts_upto(
         raise LocalZetaError("max-m/length must be nonnegative")
     coeffs = [int(c) for c in as_integer_poly(f).coefficients]
     p = ctx.p
-    if p**n > cap:
-        try:
-            size = f"p^{n} = {p**n}"
-        except ValueError:  # p**n is past the int-to-str digit limit
+    power = 1
+    for _ in range(n):  # stops once past the cap, so p**n is never formed for a huge n
+        power *= p
+        if power > cap:
             size = f"p^{n}"
-        raise CapExceeded(f"{size} exceeds the cap {cap}")
-    dtype = np.int64 if p**n <= _VECTOR_LIMIT else object
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+            # p**n has at least n*(bits(p) - 1) bits, and over a quarter as many digits
+            if n * (p.bit_length() - 1) < 4 * limit:
+                try:
+                    size = f"p^{n} = {p**n}"
+                except ValueError:  # p**n is past the int-to-str digit limit
+                    pass
+            raise CapExceeded(f"{size} exceeds the cap {cap}")
+    dtype = np.int64 if power <= _VECTOR_LIMIT else object
     counts = [1] + [0] * n
     survivors = np.zeros(1, dtype=dtype)  # the single class mod p**0
     for m in range(n):

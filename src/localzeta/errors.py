@@ -33,10 +33,6 @@ class SplittingFieldNotQ(LocalZetaError):
     """A nonconstant factor without rational roots remains."""
 
 
-class CandidateOverflow(LocalZetaError):
-    """Root-candidate enumeration exceeded the configured budget."""
-
-
 class RecursionDepthExceeded(LocalZetaError):
     """The residue-class recursion ran deeper than the depth bound allows."""
 

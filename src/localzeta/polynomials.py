@@ -4,22 +4,22 @@ Dense polynomials store exact rational coefficients, constant term first.
 Factored polynomials are unit * prod (x - root_i)**mult_i with pairwise
 distinct roots, which is the canonical input for everything downstream.
 Factorization over Q is complete for the supported input class (all roots
-rational): candidates a/b with a dividing the primitive integer form's
-constant coefficient, b its leading coefficient and |a/b| within
-Fujiwara's root bound are tested smallest first, in integers, and divided
-out to full multiplicity.
+rational) and takes time polynomial in the degree and the coefficient
+size; no integer is factored.  Following Loos (SIAM J. Comput. 12, 1983),
+the roots of the squarefree part mod the least prime q at which they are
+all simple are Newton-lifted q-adically until a bound on the root size is
+passed, each lift is tested exactly, and each root found is divided out of
+the primitive integer form to full multiplicity.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    CandidateOverflow,
     ConstantPolynomial,
     IntegralityError,
     ParseError,
@@ -27,10 +27,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .padic import PAdicContext, is_prime, vp
-
-PAIR_CAP = 10**6  # candidate (numerator, denominator) pairs tried before giving up
-_SMALL_CANDIDATE = 1000  # phase-1 direct divisor scan bound
-_RHO_BUDGET = 1 << 21
+from .ratfunc import _divide_exact, _primitive, _scaled_value, poly_gcd
 
 
 # ---------------------------------------------------------------------------
@@ -180,25 +177,36 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def integer(self, expected: str) -> tuple[int, int]:
+        """The next integer literal and its position."""
+        _, text, position = self.take("int", expected)
+        try:
+            return int(text), position
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise ParseError(
+                f"integer literal of {len(text)} digits is past the limit of "
+                f"{sys.get_int_max_str_digits()} digits",
+                position,
+            ) from None
+
     def number(self, allow_sign: bool = False) -> Fraction:
         sign = 1
         if allow_sign and self.peek()[0] in ("+", "-"):
             if self.peek()[0] == "-":
                 sign = -1
             self.pos += 1
-        num = int(self.take("int", "a number")[1])
+        num, _ = self.integer("a number")
         if self.peek()[0] == "/":
             self.pos += 1
-            tok = self.take("int", "a denominator")
-            den = int(tok[1])
+            den, position = self.integer("a denominator")
             if den == 0:
-                raise ParseError("zero denominator", tok[2])
+                raise ParseError("zero denominator", position)
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 
     def exponent(self) -> int:
         self.take("^", "'^'")
-        return int(self.take("int", "an exponent")[1])
+        return self.integer("an exponent")[0]
 
 
 def _parse_expression(p: _Parser) -> DensePoly:
@@ -292,21 +300,6 @@ def parse_poly(text: str) -> DensePoly | FactoredPoly:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_value(ints: list[int], a: int, b: int) -> int:
-    """b**d * P(a/b) for the integer polynomial P of degree d."""
-    acc = ints[-1]
-    scale = 1
-    for c in reversed(ints[:-1]):
-        scale *= b
-        acc = acc * a + c * scale
-    return acc
-
-
-def _values_at_one(ints: list[int]) -> tuple[int, int]:
-    """(P(1), P(-1)) for the integer polynomial P."""
-    return sum(ints), sum(ints[0::2]) - sum(ints[1::2])
-
-
 def _divide_linear(ints: list[int], a: int, b: int) -> list[int]:
     """P / (b*x - a) for an integer P with P(a/b) = 0 and b*x - a primitive."""
     quotient = [0] * (len(ints) - 1)
@@ -317,184 +310,58 @@ def _divide_linear(ints: list[int], a: int, b: int) -> list[int]:
     return quotient
 
 
-def _brent_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n, or 0 if the budget runs out."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 20):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = 0
-        steps = 0
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-            steps += r
-            if steps > _RHO_BUDGET:
-                return 0
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    return 0
+def _value_mod(ints: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(ints):
+        acc = (acc * x + c) % m
+    return acc
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1; CandidateOverflow if infeasible."""
-    factors: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    f = 7
-    increments = itertools.cycle((4, 2, 4, 2, 4, 6, 2, 6))
-    while f * f <= n and f < 10**4:
-        while n % f == 0:
-            factors[f] = factors.get(f, 0) + 1
-            n //= f
-        f += next(increments)
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
+def _simple_roots_mod(s: list[int], ds: list[int]) -> tuple[int, list[int]]:
+    """The least prime q with every root of s mod q simple, and those roots.
+
+    q must not divide lc(s) either.  Such a q exists for squarefree s,
+    since the primes that fail divide lc(s) * disc(s) != 0.
+    """
+    q = 1
+    while True:
+        q += 1
+        if not is_prime(q) or s[-1] % q == 0:
             continue
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _brent_rho(m)
-        if d in (0, m):
-            raise CandidateOverflow(f"cannot factor {m} to enumerate root candidates")
-        stack.append(d)
-        stack.append(m // d)
-    return factors
+        cs, dcs = [c % q for c in s], [c % q for c in ds]
+        roots = []
+        for x in range(q):
+            if _value_mod(cs, x, q) == 0:
+                if _value_mod(dcs, x, q) == 0:
+                    break  # a multiple root mod q: try the next prime
+                roots.append(x)
+        else:
+            return q, roots
 
 
-def _divisors_upto(factors: dict[int, int], limit: int) -> list[int]:
-    """Sorted divisors d <= limit, pruned as they are built.
+def _lift_root(s: list[int], ds: list[int], rho: int, q: int) -> Fraction | None:
+    """The rational root of s congruent to the simple root rho mod q, if any.
 
-    Stops with CandidateOverflow once more than PAIR_CAP divisors qualify,
-    so a full divisor set of 2**k (k distinct primes) is never formed.
+    Newton's iteration doubles the q-adic precision of rho.  A rational
+    root a/b of the primitive s has b | lc, so lc*a/b is an integer, and
+    by Cauchy's bound |lc*a/b| <= |lc| + max|s_i|; once q**k exceeds twice
+    that, the symmetric residue of lc*x mod q**k is lc*a/b itself.  Each
+    precision tests its candidate exactly, so the search stops at the
+    first hit: a simple root mod q has exactly one q-adic lift.
     """
-    out = [1]
-    for p, e in factors.items():
-        grown = []
-        for d in out:
-            for _ in range(e + 1):
-                if d > limit:
-                    break
-                grown.append(d)
-                d *= p
-        if len(grown) > PAIR_CAP:
-            raise CandidateOverflow(
-                f"more than {PAIR_CAP} divisors up to {limit}"
-            )
-        out = grown
-    return sorted(out)
-
-
-def _small_divisors(n: int, bound: int) -> list[int]:
-    return [d for d in range(1, min(n, bound) + 1) if n % d == 0] or [1]
-
-
-def _iroot_ceil(n: int, k: int) -> int:
-    """The least r >= 0 with r**k >= n."""
-    if n <= 1:
-        return max(n, 0)
-    r = 1 << -(-n.bit_length() // k)  # r**k > n
-    while True:  # integer Newton from above converges to floor(n**(1/k))
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            break
-        r = s
-    return r if r**k >= n else r + 1
-
-
-def _root_bound(ints: list[int]) -> int:
-    """An integer B with |z| <= B for every complex root z (Fujiwara's bound).
-
-    B = 2 * max(|c_{d-1}/c_d|, |c_{d-2}/c_d|**(1/2), ..., |c_0/(2 c_d)|**(1/d)),
-    with each term rounded up to an integer.
-    """
-    d = len(ints) - 1
-    lead = abs(ints[-1])
-    best = 0
-    for i in range(1, d + 1):
-        scale = 2 * lead if i == d else lead
-        best = max(best, _iroot_ceil(-(-abs(ints[d - i]) // scale), i))
-    return 2 * best
-
-
-def _candidate_values(ints: list[int]):
-    """Positive candidate roots (a, b), coprime, a | c_0, b | c_d, small a/b first.
-
-    Only pairs with a/b within the root bound are produced.  Phase 1 scans
-    divisors up to a fixed bound without factoring anything; phase 2
-    (reached only when phase 1 was not enough) factors c_0 and c_d and
-    builds only the divisors of c_0 up to the root bound times the largest
-    divisor of c_d, so only pairs that could be roots count against the
-    pair cap.
-    """
-    c0, cd = abs(ints[0]), abs(ints[-1])
-    bound = _root_bound(ints)
-    tried = 0
-
-    def pairs(nums, dens, skip_small):
-        nonlocal tried
-        values = []
-        for b in dens:
-            for a in nums:  # ascending
-                if a > bound * b:
-                    break
-                if math.gcd(a, b) != 1:
-                    continue
-                if skip_small and a <= _SMALL_CANDIDATE and b <= _SMALL_CANDIDATE:
-                    continue
-                values.append((a, b))
-        # distinct a/b with b <= D differ by at least 1/D**2, so scaling by
-        # 2*D**2 and flooring keeps their order exactly
-        scale = 2 * max(dens) ** 2
-        values.sort(key=lambda ab: ab[0] * scale // ab[1])
-        for value in values:
-            tried += 1
-            if tried > PAIR_CAP:
-                raise CandidateOverflow(
-                    f"more than {PAIR_CAP} root candidates; giving up"
-                )
-            yield value
-
-    yield from pairs(_small_divisors(c0, _SMALL_CANDIDATE),
-                     _small_divisors(cd, _SMALL_CANDIDATE), False)
-    dens = _divisors_upto(_factorize(cd), cd)
-    nums = _divisors_upto(_factorize(c0), bound * dens[-1])
-    if sum(bisect.bisect_right(nums, bound * b) for b in dens) > PAIR_CAP:
-        raise CandidateOverflow(
-            f"more than {PAIR_CAP} divisor pairs of {c0} and {cd} "
-            f"below the root bound {bound}"
-        )
-    yield from pairs(nums, dens, True)
-
-
-def _primitive_integer_form(coeffs: list[Fraction]) -> list[int]:
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    return [c // g for c in ints]
+    lc = s[-1]
+    bound = 2 * (abs(lc) + max(map(abs, s)))
+    x, m = rho, q
+    while True:
+        y = lc * x % m
+        if 2 * y > m:
+            y -= m
+        if _scaled_value(s, y, lc) == 0:
+            return Fraction(y, lc)
+        if m > bound:
+            return None
+        m *= m
+        x = (x - _value_mod(s, x, m) * pow(_value_mod(ds, x, m), -1, m)) % m
 
 
 def find_rational_roots(f: DensePoly) -> FactoredPoly:
@@ -518,27 +385,28 @@ def find_rational_roots(f: DensePoly) -> FactoredPoly:
     if zeros:
         roots.append((Fraction(0), zeros))
     if len(work) > 1:
-        # Test a/b on the primitive integer form P by b**d * P(a/b) = 0 and
-        # divide by (b*x - a); by Gauss's lemma each quotient is again a
-        # primitive integer polynomial.  So P = (b*x - a) * Q with Q in Z[x],
-        # and a root needs (b - a) | P(1) and (b + a) | P(-1): two integer
-        # remainders that drop most candidates before the Horner test.
-        work = _primitive_integer_form(work)
-        at_one, at_minus_one = _values_at_one(work)
-        for num, b in _candidate_values(work):
-            for a in (num, -num):
-                # a/b = 1 or -1 makes a divisor 0; that test is skipped
-                if at_one % (b - a or 1) or at_minus_one % (b + a or 1):
-                    continue
-                mult = 0
-                while len(work) > 1 and _scaled_value(work, a, b) == 0:
-                    work = _divide_linear(work, a, b)
-                    mult += 1
-                if mult:
-                    roots.append((Fraction(a, b), mult))
-                    at_one, at_minus_one = _values_at_one(work)
-            if len(work) == 1:
-                break
+        # The roots of P, the primitive integer form, are those of its
+        # squarefree part S = P / gcd(P, P'), whose roots mod a suitable
+        # prime q are simple and so lift q-adically (see _lift_root).
+        # Each rational root a/b found is divided out of P by (b*x - a);
+        # by Gauss's lemma every quotient is again a primitive integer
+        # polynomial.
+        work = _primitive(work)
+        derivative = [i * c for i, c in enumerate(work)][1:]
+        s = _divide_exact(work, poly_gcd(work, derivative))
+        ds = [i * c for i, c in enumerate(s)][1:]
+        q, residues = _simple_roots_mod(s, ds)
+        for rho in residues:
+            root = _lift_root(s, ds, rho, q)
+            if root is None:
+                continue
+            a, b = root.numerator, root.denominator
+            mult = 0
+            while len(work) > 1 and _scaled_value(work, a, b) == 0:
+                work = _divide_linear(work, a, b)
+                mult += 1
+            if mult:
+                roots.append((root, mult))
     if len(work) > 1:
         raise SplittingFieldNotQ(
             f"a degree-{len(work) - 1} factor has no rational roots"

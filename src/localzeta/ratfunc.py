@@ -98,27 +98,71 @@ def _content(ints: Iterable[int]) -> int:
 
 def _primitive(coeffs: Coeffs) -> list[int]:
     """Integer multiple of coeffs with content 1 and positive leading coefficient."""
-    cs = poly_trim(coeffs)
     lcm = 1
-    for c in cs:
+    for c in coeffs:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in cs]
-    g = _content(ints)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
+    while len(ints) > 1 and ints[-1] == 0:
+        ints.pop()
+    g = _content(ints) if ints[-1] > 0 else -_content(ints)
+    return [c // g for c in ints]
+
+
+def _divide_exact(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b in Z[x] when b divides a there, else None; a and b nonzero."""
+    rem = list(a)
+    quot = [0] * (len(a) - len(b) + 1)
+    for i in reversed(range(len(quot))):
+        q, r = divmod(rem[i + len(b) - 1], b[-1])
+        if r:
+            return None
+        quot[i] = q
+        for j, c in enumerate(b):
+            rem[i + j] -= q * c
+    return None if not quot or any(rem) else quot
+
+
+def _scaled_value(ints: list[int], a: int, b: int) -> int:
+    """b**d * P(a/b) for the integer polynomial P of degree d."""
+    acc = ints[-1]
+    scale = 1
+    for c in reversed(ints[:-1]):
+        scale *= b
+        acc = acc * a + c * scale
+    return acc
 
 
 def poly_gcd(a: Coeffs, b: Coeffs) -> list[int]:
-    """Gcd over Q, returned primitive over Z with positive leading coefficient."""
-    x, y = poly_trim(a), poly_trim(b)
-    if poly_is_zero(x):
-        return _primitive(y) if not poly_is_zero(y) else [1]
-    while not poly_is_zero(y):
-        _, r = poly_divmod(x, y)
-        x, y = y, ([Fraction(c) for c in _primitive(r)] if not poly_is_zero(r) else r)
-    return _primitive(x)
+    """Gcd over Q, returned primitive over Z with positive leading coefficient.
+
+    Heuristic gcd (GCDHEU; Char, Geddes and Gonnet, J. Symbolic Comput. 7,
+    1989): with x, y the primitive forms and xi >= 2*min(|x|, |y|) + 2
+    (max norms), read gcd(x(xi), y(xi)) as symmetric base-xi digits.  If
+    the primitive part G of that polynomial divides both x and y, G is
+    their gcd.  Otherwise the spurious factor divides the resultant of the
+    cofactors, so a large enough xi succeeds and xi grows without a cap.
+    """
+    if poly_is_zero(a):
+        return [1] if poly_is_zero(b) else _primitive(b)
+    if poly_is_zero(b):
+        return _primitive(a)
+    x, y = _primitive(a), _primitive(b)
+    xi = 2 * min(max(map(abs, x)), max(map(abs, y))) + 2
+    while True:
+        gamma = math.gcd(_scaled_value(x, xi, 1), _scaled_value(y, xi, 1))
+        digits = []
+        while gamma:
+            d = gamma % xi
+            if 2 * d > xi:
+                d -= xi
+            digits.append(d)
+            gamma = (gamma - d) // xi
+        g = _primitive(digits)
+        if len(g) == 1 or (
+            _divide_exact(x, g) is not None and _divide_exact(y, g) is not None
+        ):
+            return g
+        xi = 2 * xi + 1
 
 
 @dataclass(frozen=True)
@@ -151,14 +195,11 @@ def make_ratfunc(num: Coeffs, den: Coeffs) -> RationalFunctionT:
     di = [int(c * lcm) for c in d]
     g = poly_gcd(ni, di)
     if len(g) > 1:
-        qn, rn = poly_divmod(ni, g)
-        qd, rd = poly_divmod(di, g)
-        if not (poly_is_zero(rn) and poly_is_zero(rd)):
-            raise InvariantViolation("make_ratfunc: the gcd leaves a remainder")
-        if any(c.denominator != 1 for c in qn + qd):  # Gauss: quotients stay integral
-            raise InvariantViolation("make_ratfunc: a quotient by the gcd is not integral")
-        ni = [int(c) for c in qn]
-        di = [int(c) for c in qd]
+        # Gauss: a primitive divisor over Q divides in Z[x] as well
+        qn, qd = _divide_exact(ni, g), _divide_exact(di, g)
+        if qn is None or qd is None:
+            raise InvariantViolation("make_ratfunc: the gcd does not divide exactly in Z[x]")
+        ni, di = qn, qd
     scale = math.gcd(_content(ni), _content(di))
     if next(x for x in di if x != 0) < 0:
         scale = -scale

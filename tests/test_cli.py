@@ -281,3 +281,13 @@ def test_brute_cap_message_past_the_digit_limit(capsys):
     )
     assert status == 1
     assert err == "error: CapExceeded: p^3000 exceeds the cap 10000000\n"
+
+
+def test_brute_cap_check_does_not_form_a_huge_power(capsys):
+    # 3^(10^9) has about 1.6 * 10^9 bits; the check stops at the cap instead
+    status, _, err = run_cli(
+        capsys, "count", "--poly", "x^2-1", "--prime", "3", "--max-m", str(10**9),
+        "--method", "brute",
+    )
+    assert status == 1
+    assert err == "error: CapExceeded: p^1000000000 exceeds the cap 10000000\n"

@@ -1,10 +1,11 @@
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from localzeta import (
-    CandidateOverflow,
     ConstantPolynomial,
     DensePoly,
     FactoredPoly,
@@ -87,6 +88,22 @@ def test_parse_rejects_malformed(text):
         parse_poly(text)
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="needs an int-to-str digit limit",
+)
+@pytest.mark.parametrize(
+    "template,position",
+    [("x - {}", 4), ("x^{}", 2), ("x - 1/{}", 6), ("(x - {})", 5), ("{}*(x - 1)", 0)],
+)
+def test_parse_rejects_literals_past_the_digit_limit(template, position):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as err:
+        parse_poly(template.format("7" * (limit + 100)))
+    assert err.value.position == position
+    assert f"limit of {limit} digits" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # factorization
 # ---------------------------------------------------------------------------
@@ -116,25 +133,17 @@ def test_find_roots_rational_and_zero_roots():
 
 
 def test_find_roots_large_prime_numerator():
-    # exercises the divisor-enumeration phase past the small-candidate scan
     f = FactoredPoly(F(1), ((F(10007), 1), (F(1), 2)))
     found = find_rational_roots(f.expand())
     assert found == f
 
 
-def test_find_roots_constant_term_with_many_prime_factors(monkeypatch):
-    import localzeta.polynomials as poly_mod
-
-    # the constant term has 22 distinct prime factors, so 2^22 divisors; only
-    # the 16,192 below the root bound count against the pair cap
+def test_find_roots_constant_term_with_many_prime_factors():
+    # the constant term has 22 distinct prime factors, so 2^22 divisors,
+    # none of which the lifting search forms
     roots = (30030, 215441, 47027, 107113, 241133, 409457)
     f = FactoredPoly(F(1), tuple((F(r), 1) for r in roots))
     assert find_rational_roots(f.expand()) == f
-    monkeypatch.setattr(poly_mod, "PAIR_CAP", 16_192)
-    assert find_rational_roots(f.expand()) == f
-    monkeypatch.setattr(poly_mod, "PAIR_CAP", 16_191)
-    with pytest.raises(CandidateOverflow):
-        find_rational_roots(f.expand())
 
 
 def test_find_roots_divisibility_filter_skips_most_candidates(monkeypatch):
@@ -152,15 +161,50 @@ def test_find_roots_divisibility_filter_skips_most_candidates(monkeypatch):
     roots = (30030, 215441, 47027, 107113, 241133, 409457)
     f = FactoredPoly(F(1), tuple((F(r), 1) for r in roots))
     assert find_rational_roots(f.expand()) == f
-    assert calls < 1000  # 15,948 Horner evaluations without the filter
+    # one exact test per lifted precision and per division, where a
+    # search over divisor pairs would make 15,948 Horner evaluations
+    assert calls < 1000
 
 
 def test_find_roots_many_candidates_below_the_root_bound():
-    # about 676k candidate pairs lie below the root bound
+    # about 676k divisor pairs a/b lie below Fujiwara's root bound
     f = FactoredPoly(
         F(-11), ((F(-600851, 9), 3), (F(2069, 577), 2), (F(115607, 700), 3))
     )
     assert find_rational_roots(f.expand()) == f
+
+
+def _eisenstein(degree):
+    # monic, every lower coefficient even and the constant 2 mod 4:
+    # irreducible by Eisenstein's criterion at 2, so it has no rational root
+    rng = random.Random(degree)
+    return DensePoly((F(2 + 4 * rng.randint(-25, 25)),)
+                     + tuple(F(2 * rng.randint(-50, 50)) for _ in range(degree - 1))
+                     + (F(1),))
+
+
+_SIX_DIGIT = random.Random(7).sample(range(100_000, 1_000_000), 30)
+
+
+@pytest.mark.parametrize("f", [
+    FactoredPoly(F(-11), ((F(-600851, 9), 3), (F(2069, 577), 2), (F(115607, 700), 3))),
+    FactoredPoly(F(1), ((F(1), 3), (F(1 + 3**40), 2))),
+    FactoredPoly(F(1), tuple((F(r), 1) for r in _SIX_DIGIT)),
+    FactoredPoly(F(1), tuple((F(r), 1) for r in range(1, 61))),
+    _eisenstein(50),
+    _eisenstein(100),
+    _eisenstein(200),
+    _eisenstein(400),
+], ids=["found", "tower", "six-digit-roots", "one-to-sixty",
+        "dense-50", "dense-100", "dense-200", "dense-400"])
+def test_find_roots_pinned_inputs_in_well_under_a_second(f):
+    start = time.perf_counter()
+    if isinstance(f, FactoredPoly):
+        assert find_rational_roots(f.expand()) == f
+    else:
+        with pytest.raises(SplittingFieldNotQ, match=f"degree-{f.degree} factor"):
+            find_rational_roots(f)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_find_roots_semiprime_constant_term():
@@ -275,17 +319,10 @@ def test_as_integer_poly():
         as_integer_poly(parse_poly("1/2*x^2"))
 
 
-def test_candidate_overflow_is_reported():
-    import localzeta.polynomials as poly_mod
-
-    # two 40+ digit primes: rho cannot split the product within budget
+def test_find_roots_product_of_two_large_primes():
+    # the constant term is the product of a 27-digit and a 33-digit prime;
+    # the search factors no integer, so that product costs nothing
     a = 2**89 - 1
     b = 2**107 - 1
     f = DensePoly((F(a) * b, F(-a * b - 1), F(1)))
-    old = poly_mod._RHO_BUDGET
-    poly_mod._RHO_BUDGET = 64
-    try:
-        with pytest.raises(CandidateOverflow):
-            find_rational_roots(f)
-    finally:
-        poly_mod._RHO_BUDGET = old
+    assert find_rational_roots(f) == FactoredPoly(F(1), ((F(1), 1), (F(a * b), 1)))
