@@ -117,8 +117,7 @@ def _cmd_keystream(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, st
 
 def _cmd_tree(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
     reduced = reduce_to_integral_roots(parse_poly(args.poly), ctx)
-    l_f = compute_lf(reduced.fplus, ctx)
-    tree = build_tree(reduced.fplus, ctx, l_f)
+    tree = build_tree(reduced.fplus, ctx, compute_lf(reduced.fplus, ctx))
     if args.format == "json":
         return 0, json.dumps(tree_to_json(tree), indent=2)
     if args.format == "dot":
@@ -274,11 +273,14 @@ def main(argv: list[str] | None = None) -> int:
             if args.brute_cap < ctx.p:
                 raise LocalZetaError("brute cap must be at least p")
         status, output = args.handler(args, ctx)
+        if output:
+            print(output, flush=True)
     except LocalZetaError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if output:
-        print(output)
+    except BrokenPipeError:  # the reader left; point stdout at devnull so exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return status
 
 

@@ -14,19 +14,20 @@ the primitive integer form to full multiplicity.
 
 from __future__ import annotations
 
-import itertools
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     ConstantPolynomial,
     IntegralityError,
+    InvariantViolation,
     ParseError,
     SplittingFieldNotQ,
     ZeroPolynomial,
 )
-from .padic import PAdicContext, is_prime, vp
+from .padic import PAdicContext, is_prime, residue, vp
 from .ratfunc import _divide_exact, _primitive, _scaled_value, poly_gcd
 
 
@@ -415,7 +416,7 @@ def find_rational_roots(f: DensePoly) -> FactoredPoly:
 
 
 # ---------------------------------------------------------------------------
-# reduction to integral roots and the separation depth
+# reduction to integral roots; the separation depth in O(r * l_f) residue steps
 # ---------------------------------------------------------------------------
 
 
@@ -444,10 +445,33 @@ def reduce_to_integral_roots(
     return ReducedInput(int(shift), FactoredPoly(unit, tuple(keep)))
 
 
+def _separation_depth(roots: tuple[tuple[Fraction, int], ...], ctx: PAdicContext) -> int:
+    """A bound on l_f that needs no root pairs: least k >= 1 with p**k > 2*N*D.
+
+    For a = n/d and b = n'/d' with p prime to d and d',
+    v_p(a - b) <= v_p(n*d' - n'*d) <= log_p(2*N*D), where N and D are the
+    largest |numerator| and denominator, so 1 + max v_p(a - b) <= k.
+    """
+    n = max((abs(r.numerator) for r, _ in roots), default=0)
+    d = max((r.denominator for r, _ in roots), default=1)
+    k, power = 1, ctx.p
+    while power <= 2 * n * d:
+        k, power = k + 1, power * ctx.p
+    return k
+
+
 def compute_lf(fplus: FactoredPoly, ctx: PAdicContext) -> int:
-    """Depth at which the roots separate: 1 + max v_p(a_i - a_j), or 1 if r < 2."""
-    rs = [r for r, _ in fplus.roots]
-    if len(rs) < 2:
-        return 1
-    best = max(vp(a - b, ctx) for a, b in itertools.combinations(rs, 2))
-    return 1 + best
+    """Depth at which the roots separate: 1 + max v_p(a_i - a_j), or 1 if r < 2.
+
+    Reduce first (v_p < 0 raises ``NegativeValuation``).  Level m keeps the
+    residues mod p**k, k = ``_separation_depth``, that share a class mod p**m.
+    """
+    k = _separation_depth(fplus.roots, ctx)
+    xs = [residue(r, ctx, k) for r, _ in fplus.roots]
+    for level in range(1, k + 1):
+        q = ctx.p**level
+        sizes = Counter(x % q for x in xs)
+        xs = [x for x in xs if sizes[x % q] > 1]
+        if not xs:
+            return level
+    raise InvariantViolation(f"compute_lf: roots share a class mod {ctx.p}^{k}")

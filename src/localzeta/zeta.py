@@ -36,6 +36,7 @@ from .padic import PAdicContext, residue
 from .polynomials import (
     DensePoly,
     FactoredPoly,
+    _separation_depth,
     compute_lf,
     reduce_to_integral_roots,
 )
@@ -175,24 +176,8 @@ def spf_eval(roots: Roots, ctx: PAdicContext) -> ZetaFunction:
     roots = tuple((Fraction(r), int(e)) for r, e in roots)
     if len({r for r, _ in roots}) != len(roots):
         raise ValueError("roots must be pairwise distinct")
-    depth_limit = _separation_depth(roots, ctx) + 1
-    terms = _spf_terms(roots, ctx, depth=0, limit=depth_limit)
+    terms = _spf_terms(roots, ctx, depth=0, limit=_separation_depth(roots, ctx) + 1)
     return ZetaFunction(ctx=ctx, shift=0, terms=tuple(terms))
-
-
-def _separation_depth(roots: Roots, ctx: PAdicContext) -> int:
-    """A bound on l_f that needs no root pairs: least k >= 1 with p**k > 2*N*D.
-
-    For a = n/d and b = n'/d' with p prime to d and d',
-    v_p(a - b) <= v_p(n*d' - n'*d) <= log_p(2*N*D), where N and D are the
-    largest |numerator| and denominator, so 1 + max v_p(a - b) <= k.
-    """
-    n = max((abs(r.numerator) for r, _ in roots), default=0)
-    d = max((r.denominator for r, _ in roots), default=1)
-    k, power = 1, ctx.p
-    while power <= 2 * n * d:
-        k, power = k + 1, power * ctx.p
-    return k
 
 
 def _spf_terms(
@@ -232,8 +217,7 @@ def compute_zeta(
     """Full pipeline: factor (if dense), reduce, and evaluate Z(t, f)."""
     reduced = reduce_to_integral_roots(f, ctx)
     if method == "tree":
-        l_f = compute_lf(reduced.fplus, ctx)
-        tree = build_tree(reduced.fplus, ctx, l_f)
+        tree = build_tree(reduced.fplus, ctx, compute_lf(reduced.fplus, ctx))
         return generating_function(tree, shift=reduced.shift)
     if method == "spf":
         z = spf_eval(reduced.fplus.roots, ctx)

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -291,3 +294,25 @@ def test_brute_cap_check_does_not_form_a_huge_power(capsys):
     )
     assert status == 1
     assert err == "error: CapExceeded: p^1000000000 exceeds the cap 10000000\n"
+
+
+@pytest.mark.parametrize("argv, lines", [
+    # `localzeta keystream ... | head -1`: several MB, so the write itself fails
+    (["keystream", "--poly", "x^2 - 1", "--prime", "2", "--length", "5000"], 1),
+    # one short line, which a pipe buffers until it is flushed
+    (["zeta", "--poly", "x", "--prime", "5"], 0),
+])
+def test_closed_pipe_exits_one_without_a_traceback(argv, lines):
+    src = str(Path(localzeta.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # buffer stdout as a plain run does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "localzeta.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""  # no traceback, nor an "Exception ignored" note at exit

@@ -10,6 +10,7 @@ from localzeta import (
     DensePoly,
     FactoredPoly,
     IntegralityError,
+    NegativeValuation,
     PAdicContext,
     ParseError,
     SplittingFieldNotQ,
@@ -293,6 +294,15 @@ def test_compute_lf_examples():
     assert compute_lf(FactoredPoly(F(1), ((F(1), 1), (F(4), 1))), ctx) == 2
     assert compute_lf(FactoredPoly(F(1), ((F(7), 4),)), ctx) == 1
     assert compute_lf(FactoredPoly(F(1), ((F(0), 1), (F(9), 1))), ctx) == 3
+
+
+def test_compute_lf_needs_reduced_roots():
+    # roots with v_p < 0 have no residue mod p^k; reduce_to_integral_roots drops them
+    ctx = PAdicContext(3)
+    f = FactoredPoly(F(1), ((F(1, 3), 1), (F(1), 2)))
+    with pytest.raises(NegativeValuation):
+        compute_lf(f, ctx)
+    assert compute_lf(reduce_to_integral_roots(f, ctx).fplus, ctx) == 1
 
 
 def test_roots_distinct_modulo_p_to_the_lf():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import localzeta
 import localzeta.padic
+import localzeta.polynomials
 import localzeta.zeta
 
 from localzeta import (
@@ -41,6 +43,7 @@ from localzeta import (
     rf_series,
     spf_eval,
     vertex_term,
+    vp,
     zeta_from_json,
     zeta_text,
     zeta_to_json,
@@ -211,13 +214,21 @@ def test_recursion_depth_guard():
         _spf_terms(roots, ctx, depth=5, limit=4)
 
 
+def _pairwise_lf(roots, ctx):
+    """The definition l_f = 1 + max v_p(a - b) over all root pairs, or 1 if r < 2."""
+    rs = [r for r, _ in roots]
+    if len(rs) < 2:
+        return 1
+    return 1 + max(vp(a - b, ctx) for a, b in itertools.combinations(rs, 2))
+
+
 @st.composite
 def separation_cases(draw):
     """A prime and distinct roots with v_p >= 0: integers, rationals with
     denominators prime to p, and towers a + p**k over an earlier root."""
-    p = draw(st.sampled_from([2, 3, 5, 101]))
+    p = draw(st.sampled_from([2, 3, 5, 101, 10**12 + 39]))
     roots = {}
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from(["integer", "rational", "tower"]))
         a = F(draw(st.integers(-10**6, 10**6)))
         if kind == "rational":
@@ -232,7 +243,21 @@ def separation_cases(draw):
 @given(separation_cases())
 def test_depth_bound_covers_the_separation_depth(case):
     ctx, roots = case
-    assert _separation_depth(roots, ctx) >= compute_lf(FactoredPoly(F(1), roots), ctx)
+    assert _separation_depth(roots, ctx) >= _pairwise_lf(roots, ctx)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(separation_cases())
+def test_compute_lf_matches_the_pairwise_definition(case):
+    ctx, roots = case
+    assert compute_lf(FactoredPoly(F(1), roots), ctx) == _pairwise_lf(roots, ctx)
+
+
+def test_compute_lf_checks_its_depth_bound(monkeypatch):
+    # (x - 1)(x - 10) at p = 3 has l_f = 3; a bound of 1 must not go unnoticed
+    monkeypatch.setattr(localzeta.polynomials, "_separation_depth", lambda roots, ctx: 1)
+    with pytest.raises(InvariantViolation, match="compute_lf"):
+        compute_lf(FactoredPoly(F(1), ((F(1), 1), (F(10), 1))), PAdicContext(3))
 
 
 def test_spf_agrees_with_the_tree_on_a_deep_tower():
@@ -247,10 +272,10 @@ def test_spf_agrees_with_the_tree_on_a_deep_tower():
 
 
 def test_spf_does_not_compute_the_separation_depth(monkeypatch):
-    def pairwise(*args):
+    def forbidden(*args):
         raise AssertionError("spf called compute_lf")
 
-    monkeypatch.setattr(localzeta.zeta, "compute_lf", pairwise)
+    monkeypatch.setattr(localzeta.zeta, "compute_lf", forbidden)
     z = compute_zeta(parse_poly("(x-1)^2*(x-4)*(x-10)^3"), PAdicContext(3), method="spf")
     assert rf_eval(normalize(z), 1) == 1
 
