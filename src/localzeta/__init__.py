@@ -84,12 +84,9 @@ from .tree import (
     tree_to_text,
 )
 from .zeta import (
-    ResidueClassification,
     ZetaFunction,
     ZetaTerm,
-    classify_residues,
     compute_zeta,
-    dilate,
     generating_function,
     normalize,
     poincare,

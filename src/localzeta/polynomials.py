@@ -96,14 +96,19 @@ class FactoredPoly:
         return sum(e for _, e in self.roots)
 
     def expand(self) -> DensePoly:
-        """Multiply the factorization back out."""
-        coeffs = [self.unit]
+        """Multiply the factorization back out.
+
+        The integer factors (b*x - a)**e of the roots a/b are multiplied
+        first, and the product is scaled once by unit / prod b**e.
+        """
+        coeffs, scale = [1], 1
         for root, mult in self.roots:
+            a, b = root.numerator, root.denominator
             for _ in range(mult):
-                coeffs = [Fraction(0)] + coeffs
-                for i in range(len(coeffs) - 1):
-                    coeffs[i] -= root * coeffs[i + 1]
-        return DensePoly(tuple(coeffs))
+                coeffs = [b * hi - a * lo for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+            scale *= b**mult
+        unit = self.unit / scale
+        return DensePoly(tuple(unit * c for c in coeffs))
 
     def __call__(self, x: Fraction | int) -> Fraction:
         value = self.unit

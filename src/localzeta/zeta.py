@@ -4,9 +4,10 @@ Two independent evaluators are kept deliberately as mutual oracles:
 
 * ``generating_function`` sums one closed-form term per vertex of the
   weighted residue-class tree;
-* ``spf_eval`` recurses on residue classes mod p (unit-locus count nu,
-  simple-root count delta, and a rescaled sub-problem per multiple root),
-  closing single-root integrals in closed form.
+* ``spf_eval`` reduces each root once mod p**k and recurses on residue
+  classes mod p (unit-locus count nu, simple-root count delta, and a
+  sub-problem on the residues x // p per multiple root), closing
+  single-root integrals in closed form.
 
 Both produce a ``ZetaFunction``: a t-power shift plus a list of terms
 ``coeff * t**a / (1 - t**b / p)`` (``b = 0`` meaning no denominator) in
@@ -62,55 +63,15 @@ class ZetaFunction:
     terms: tuple[ZetaTerm, ...]
 
     def sorted_terms(self) -> tuple[ZetaTerm, ...]:
-        """Terms ordered for multiset comparison."""
-        return tuple(sorted(self.terms, key=lambda t: (t.t_pow, t.den_pow, t.coeff)))
+        """Terms ordered for multiset comparison: by t_pow, den_pow, coeff.
 
-
-@dataclass(frozen=True)
-class ResidueClassification:
-    """Reduction mod p of a root multiset.
-
-    nu counts residues where the reduction does not vanish, delta counts
-    its simple roots, and groups holds each residue with total
-    multiplicity >= 2 together with the original roots lying over it.
-    """
-
-    nu: int
-    delta: int
-    groups: tuple[tuple[int, int, Roots], ...]
-
-
-def classify_residues(roots: Roots, ctx: PAdicContext) -> ResidueClassification:
-    """Group roots by residue mod p and count unit / simple residues."""
-    by_residue: dict[int, list[tuple[Fraction, int]]] = {}
-    for root, mult in roots:
-        by_residue.setdefault(residue(root, ctx, 1), []).append((root, mult))
-    groups = []
-    delta = 0
-    for xi in sorted(by_residue):
-        members = tuple(by_residue[xi])
-        e_xi = sum(e for _, e in members)
-        if e_xi == 1:
-            delta += 1
-        else:
-            groups.append((xi, e_xi, members))
-    return ResidueClassification(
-        nu=ctx.p - len(by_residue), delta=delta, groups=tuple(groups)
-    )
-
-
-def dilate(roots: Roots, xi: int, ctx: PAdicContext) -> Roots:
-    """Roots congruent to xi mod p, recentred and rescaled: (a - xi) / p.
-
-    This is the root-level form of focusing the integral on one residue
-    class; factors from non-congruent roots are dropped because they are
-    p-adic units there.
-    """
-    return tuple(
-        ((root - xi) / ctx.p, mult)
-        for root, mult in roots
-        if residue(root, ctx, 1) == xi
-    )
+        The coefficients are compared as integers over their common
+        denominator, which is the same order as comparing them as Fractions.
+        """
+        scale = math.lcm(*(t.coeff.denominator for t in self.terms))
+        return tuple(sorted(self.terms, key=lambda t: (
+            t.t_pow, t.den_pow, t.coeff.numerator * (scale // t.coeff.denominator)
+        )))
 
 
 # ---------------------------------------------------------------------------
@@ -167,42 +128,58 @@ def generating_function(tree: WeightedTree, shift: int = 0) -> ZetaFunction:
 def spf_eval(roots: Roots, ctx: PAdicContext) -> ZetaFunction:
     """Independent recursive evaluator on a multiset of integral roots.
 
-    Per level: a constant nu/p for the unit locus, one geometric term for
-    the delta simple residues, and a recursive call per residue class with
-    multiplicity e >= 2, scaled by t**e / p.  A single root is closed in
-    one step as (1 - 1/p) / (1 - t**e / p); an empty root set integrates
-    a unit, giving 1.
+    Each root is reduced once mod p**k, k = ``_separation_depth``; distinct
+    roots stay distinct there.  Per level: a constant nu/p for the unit
+    locus, one geometric term for the delta simple residues, and a
+    recursive call per residue class xi with multiplicity e >= 2, scaled by
+    t**e / p, on the residues (x - xi) / p = x // p.  A single root is
+    closed in one step as (1 - 1/p) / (1 - t**e / p); an empty root set
+    integrates a unit, giving 1.
     """
     roots = tuple((Fraction(r), int(e)) for r, e in roots)
     if len({r for r, _ in roots}) != len(roots):
         raise ValueError("roots must be pairwise distinct")
-    terms = _spf_terms(roots, ctx, depth=0, limit=_separation_depth(roots, ctx) + 1)
-    return ZetaFunction(ctx=ctx, shift=0, terms=tuple(terms))
+    k = _separation_depth(roots, ctx)
+    xs = tuple((residue(r, ctx, k), e) for r, e in roots)
+    p = ctx.p
+    terms = _spf_terms(xs, p, depth=0, limit=k + 1)
+    return ZetaFunction(
+        ctx=ctx,
+        shift=0,
+        terms=tuple(ZetaTerm(Fraction(c, p**j), a, b) for c, j, a, b in terms),
+    )
 
 
 def _spf_terms(
-    roots: Roots, ctx: PAdicContext, depth: int, limit: int
-) -> list[ZetaTerm]:
+    xs: tuple[tuple[int, int], ...], p: int, depth: int, limit: int
+) -> list[tuple[int, int, int, int]]:
+    """Terms (c, j, t_pow, den_pow), coefficient c / p**j, of integer residues."""
     if depth > limit:
         raise RecursionDepthExceeded(
             f"recursion reached depth {depth} with depth bound {limit - 1}"
         )
-    p = ctx.p
-    if not roots:
-        return [ZetaTerm(Fraction(1), 0, 0)]
-    if len(roots) == 1:
-        return [ZetaTerm(Fraction(p - 1, p), 0, roots[0][1])]
-    cls = classify_residues(roots, ctx)
-    terms = []
-    if cls.nu:
-        terms.append(ZetaTerm(Fraction(cls.nu, p), 0, 0))
-    if cls.delta:
-        terms.append(ZetaTerm(Fraction(cls.delta * (p - 1), p * p), 1, 1))
-    for xi, e_xi, members in cls.groups:
-        sub = _spf_terms(dilate(members, xi, ctx), ctx, depth + 1, limit)
-        terms.extend(
-            ZetaTerm(t.coeff / p, t.t_pow + e_xi, t.den_pow) for t in sub
-        )
+    if not xs:
+        return [(1, 0, 0, 0)]
+    if len(xs) == 1:
+        return [(p - 1, 1, 0, xs[0][1])]
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for x, e in xs:
+        rest, xi = divmod(x, p)
+        buckets.setdefault(xi, []).append((rest, e))
+    delta, groups = 0, []
+    for xi in sorted(buckets):
+        e_xi = sum(e for _, e in buckets[xi])
+        if e_xi == 1:
+            delta += 1
+        else:
+            groups.append((e_xi, tuple(buckets[xi])))
+    nu = p - len(buckets)
+    terms = [(nu, 1, 0, 0)] if nu else []
+    if delta:
+        terms.append((delta * (p - 1), 2, 1, 1))
+    for e_xi, members in groups:
+        sub = _spf_terms(members, p, depth + 1, limit)
+        terms.extend((c, j + 1, a + e_xi, b) for c, j, a, b in sub)
     return terms
 
 

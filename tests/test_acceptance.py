@@ -20,12 +20,10 @@ from localzeta import (
     ZetaTerm,
     brute_counts_upto,
     build_tree,
-    classify_residues,
     coeff_stream,
     compute_lf,
     compute_zeta,
     counts_from_coeffs,
-    dilate,
     generating_function,
     lfsr_from_rational,
     lfsr_generating_function,
@@ -43,6 +41,7 @@ from localzeta import (
     rf_series,
     series_mod_p,
 )
+from spf_reference import classify_residues, dilate
 
 F = Fraction
 BRUTE_BOUND = 10**5

@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localzeta import (
     ConstantPolynomial,
@@ -236,6 +238,34 @@ def test_expand_round_trip():
         assert find_rational_roots(expanded) == f
         # and factoring a dense input reproduces it coefficient for coefficient
         assert find_rational_roots(expanded).expand() == expanded
+
+
+def fraction_product(f):
+    """unit * prod (x - root)**mult multiplied out one Fraction factor at a time."""
+    coeffs = [f.unit]
+    for root, mult in f.roots:
+        for _ in range(mult):
+            coeffs = [F(0)] + coeffs
+            for i in range(len(coeffs) - 1):
+                coeffs[i] -= root * coeffs[i + 1]
+    return DensePoly(tuple(coeffs))
+
+
+nonzero = st.integers(-10**6, 10**6).filter(bool)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.builds(F, nonzero, st.integers(1, 10**3)),
+    st.dictionaries(
+        st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**3)),
+        st.integers(1, 4),
+        max_size=8,
+    ),
+)
+def test_expand_matches_the_fraction_product(unit, roots):
+    f = FactoredPoly(unit, tuple(roots.items()))
+    assert f.expand() == fraction_product(f)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,8 @@ from localzeta import (
     ZetaFunction,
     ZetaTerm,
     build_tree,
-    classify_residues,
     compute_lf,
     compute_zeta,
-    dilate,
     generating_function,
     make_ratfunc,
     minimal_weight_one_set,
@@ -57,6 +55,7 @@ from localzeta.errors import (
 )
 from localzeta.ratfunc import poly_divmod, poly_is_zero, poly_mul, poly_shift, poly_sub
 from localzeta.zeta import _separation_depth, _spf_terms
+from spf_reference import classify_residues, dilate, spf_terms as reference_spf_terms
 
 F = Fraction
 
@@ -208,10 +207,16 @@ def test_unit_with_p_content_shifts_the_counts():
 
 
 def test_recursion_depth_guard():
-    ctx = PAdicContext(3)
-    roots = ((F(0), 2), (F(9), 1))
     with pytest.raises(RecursionDepthExceeded):
-        _spf_terms(roots, ctx, depth=5, limit=4)
+        _spf_terms(((0, 2), (9, 1)), 3, depth=5, limit=4)
+
+
+def test_spf_eval_checks_its_depth_bound(monkeypatch):
+    # x^2 (x - 9) at p = 3: with a bound of 1 both roots reduce to 0 mod 3,
+    # share every residue from then on, and only the guard ends the recursion
+    monkeypatch.setattr(localzeta.zeta, "_separation_depth", lambda roots, ctx: 1)
+    with pytest.raises(RecursionDepthExceeded):
+        spf_eval(((F(0), 2), (F(9), 1)), PAdicContext(3))
 
 
 def _pairwise_lf(roots, ctx):
@@ -251,6 +256,13 @@ def test_depth_bound_covers_the_separation_depth(case):
 def test_compute_lf_matches_the_pairwise_definition(case):
     ctx, roots = case
     assert compute_lf(FactoredPoly(F(1), roots), ctx) == _pairwise_lf(roots, ctx)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(separation_cases())
+def test_spf_eval_matches_the_fraction_recursion(case):
+    ctx, roots = case
+    assert list(spf_eval(roots, ctx).terms) == reference_spf_terms(roots, ctx)
 
 
 def test_compute_lf_checks_its_depth_bound(monkeypatch):
@@ -456,6 +468,13 @@ def zeta_cases(draw):
         zero = (ZetaTerm(c, a, b), ZetaTerm(-c / p, a + b, b), ZetaTerm(-c, a, 0))
         z = replace(z, terms=z.terms + zero)
     return z
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(zeta_cases())
+def test_sorted_terms_matches_the_fraction_keyed_sort(z):
+    by_fraction = sorted(z.terms, key=lambda t: (t.t_pow, t.den_pow, t.coeff))
+    assert z.sorted_terms() == tuple(by_fraction)
 
 
 def folded_normal_form(z):
