@@ -77,7 +77,6 @@ from .tree import (
     Vertex,
     WeightedTree,
     build_tree,
-    minimal_weight_one_set,
     tree_from_json,
     tree_to_dot,
     tree_to_json,
@@ -91,7 +90,6 @@ from .zeta import (
     normalize,
     poincare,
     spf_eval,
-    vertex_term,
     zeta_from_json,
     zeta_text,
     zeta_to_json,

@@ -59,12 +59,6 @@ class DensePoly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return -1 if self.is_zero else len(self.coefficients) - 1
 
-    def __call__(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
         return all(c.denominator == 1 for c in self.coefficients)

@@ -41,10 +41,6 @@ def poly_add(a: Coeffs, b: Coeffs) -> list[Fraction]:
     return poly_trim(out)
 
 
-def poly_sub(a: Coeffs, b: Coeffs) -> list[Fraction]:
-    return poly_add(a, [-Fraction(c) for c in b])
-
-
 def poly_mul(a: Coeffs, b: Coeffs) -> list[Fraction]:
     if poly_is_zero(a) or poly_is_zero(b):
         return [Fraction(0)]
@@ -57,36 +53,11 @@ def poly_mul(a: Coeffs, b: Coeffs) -> list[Fraction]:
     return poly_trim(out)
 
 
-def poly_shift(a: Coeffs, k: int) -> list[Fraction]:
-    """Multiply by t**k."""
-    if poly_is_zero(a):
-        return [Fraction(0)]
-    return poly_trim([Fraction(0)] * k + [Fraction(c) for c in a])
-
-
 def poly_eval(a: Coeffs, x: Fraction | int) -> Fraction:
     acc = Fraction(0)
     for c in reversed(list(a)):
         acc = acc * x + c
     return acc
-
-
-def poly_divmod(a: Coeffs, b: Coeffs) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder over Q; b must be nonzero."""
-    rem = poly_trim(a)
-    den = poly_trim(b)
-    if poly_is_zero(den):
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(len(rem) - len(den) + 1, 1)
-    while not poly_is_zero(rem) and len(rem) >= len(den):
-        shift = len(rem) - len(den)
-        factor = rem[-1] / den[-1]
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            rem[shift + i] -= factor * c
-        # exact arithmetic: the leading term cancels, so the degree drops
-        rem = poly_trim(rem[: len(den) + shift - 1] or [Fraction(0)])
-    return poly_trim(quot), rem
 
 
 def _content(ints: Iterable[int]) -> int:

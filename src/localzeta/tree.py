@@ -2,12 +2,17 @@
 
 The tree of a factored polynomial with integral roots is the union of the
 root stalks: a level-m vertex for every distinct residue of a root modulo
-p**m, m = 0..l_f+1, linked by reduction modulo p**(m-1); every level's
-residue is read off one reduction of the root modulo p**(l_f+1).  The weight of a
+p**m, m = 0..l_f+1, linked by reduction modulo p**(m-1).  The weight of a
 vertex is the total multiplicity of the roots in its residue class (0 at
 the root), the stalk weight accumulates weights along the path from the
-root, and the valence counts children.  Vertex ids are assigned level by
-level with residues ascending, so serialization is deterministic.
+root, and the valence counts children.
+
+``build_tree`` makes one pass over the levels.  Each root is reduced once
+modulo p**(l_f+1); a level takes those residues modulo p**m, visits its
+classes in ascending order, numbers them after the level above, and finds
+each parent in the residue-to-id map of that level.  So ids go level by
+level with residues ascending, every children tuple is ascending, and
+serialization is deterministic.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ class WeightedTree:
     ctx: PAdicContext
     l_f: int
     vertices: tuple[Vertex, ...]
-    levels: tuple[tuple[int, ...], ...]
     root: int = 0
 
     @property
@@ -56,72 +60,39 @@ def build_tree(fplus: FactoredPoly, ctx: PAdicContext, l_f: int) -> WeightedTree
     Every root must have v_p >= 0 (reduce first).  Each root is reduced
     once modulo p**(l_f + 1) and each level takes that residue modulo p**m,
     so rational roots with denominators coprime to p are handled exactly.
+    One pass per level gives the ids (after the level above, residues
+    ascending), the parent (from the level above's residue-to-id map) and
+    the stalk weight (weight plus the parent's stalk weight).
     """
     if l_f < 1:
         raise ValueError("separation depth must be >= 1")
     p = ctx.p
     depth = l_f + 1
-    weights: list[dict[int, int]] = [dict() for _ in range(depth + 1)]
-    weights[0][0] = 0
-    moduli = [p**m for m in range(depth + 1)]
-    for root, mult in fplus.roots:
-        top = residue_mod(root, ctx, depth)
-        for m in range(1, depth + 1):
-            residue = top % moduli[m]
-            weights[m][residue] = weights[m].get(residue, 0) + mult
-
-    ids: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    for m in range(depth + 1):
-        for residue in sorted(weights[m]):
-            ids[(m, residue)] = len(order)
-            order.append((m, residue))
-
-    children: dict[int, list[int]] = {i: [] for i in range(len(order))}
-    parents: dict[int, int | None] = {0: None}
+    tops = [(residue_mod(root, ctx, depth), mult) for root, mult in fplus.roots]
+    # (level, residue, parent, weight, stalk weight) per id, children per id
+    rows: list[tuple[int, int, int | None, int, int]] = [(0, 0, None, 0, 0)]
+    children: list[list[int]] = [[]]
+    above = {0: 0}
     for m in range(1, depth + 1):
-        for residue in sorted(weights[m]):
-            vid = ids[(m, residue)]
-            pid = ids[(m - 1, residue % moduli[m - 1])]
-            parents[vid] = pid
+        modulus, up = p**m, p ** (m - 1)
+        weights: dict[int, int] = {}
+        for top, mult in tops:
+            residue = top % modulus
+            weights[residue] = weights.get(residue, 0) + mult
+        here = {}
+        for residue in sorted(weights):
+            vid = here[residue] = len(rows)
+            pid = above[residue % up]
+            w = weights[residue]
+            rows.append((m, residue, pid, w, w + rows[pid][4]))
             children[pid].append(vid)
-
-    vertices = []
-    stalk: dict[int, int] = {}
-    for vid, (m, residue) in enumerate(order):
-        w = weights[m][residue]
-        parent = parents[vid]
-        stalk[vid] = w + (stalk[parent] if parent is not None else 0)
-        vertices.append(
-            Vertex(
-                id=vid,
-                level=m,
-                residue=residue,
-                parent=parent,
-                children=tuple(children[vid]),
-                weight=w,
-                stalk_weight=stalk[vid],
-            )
-        )
-    levels = tuple(
-        tuple(ids[(m, r)] for r in sorted(weights[m])) for m in range(depth + 1)
+            children.append([])
+        above = here
+    vertices = tuple(
+        Vertex(vid, m, residue, pid, tuple(kids), w, stalk)
+        for vid, ((m, residue, pid, w, stalk), kids) in enumerate(zip(rows, children))
     )
-    return WeightedTree(ctx=ctx, l_f=l_f, vertices=tuple(vertices), levels=levels)
-
-
-def minimal_weight_one_set(tree: WeightedTree) -> set[int]:
-    """Weight-1 vertices with no weight-1 strict ancestor."""
-    result: set[int] = set()
-    stack: list[tuple[int, bool]] = [(tree.root, False)]
-    while stack:
-        vid, seen_one = stack.pop()
-        v = tree.vertices[vid]
-        if v.weight == 1 and not seen_one:
-            result.add(vid)
-        below = seen_one or v.weight == 1
-        for child in v.children:
-            stack.append((child, below))
-    return result
+    return WeightedTree(ctx=ctx, l_f=l_f, vertices=vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +137,7 @@ def tree_to_json(tree: WeightedTree) -> dict:
 
 
 def tree_from_json(doc: dict | str) -> WeightedTree:
-    """Inverse of tree_to_json."""
+    """Inverse of tree_to_json; a document that is no residue tree is rejected."""
     try:
         if isinstance(doc, str):
             doc = json.loads(doc)
@@ -182,16 +153,55 @@ def tree_from_json(doc: dict | str) -> WeightedTree:
             )
             for v in doc["vertices"]
         )
-        depth = max(v.level for v in vertices)
         p, l_f, root = int(doc["p"]), int(doc["l_f"]), int(doc["root"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"tree_from_json: {exc!r}") from exc
-    levels = tuple(
-        tuple(v.id for v in vertices if v.level == m) for m in range(depth + 1)
-    )
-    return WeightedTree(
-        ctx=PAdicContext(p), l_f=l_f, vertices=vertices, levels=levels, root=root
-    )
+    problem = _link_problem(vertices, root)
+    if problem:
+        raise MalformedDocument(f"tree_from_json: {problem}")
+    return WeightedTree(ctx=PAdicContext(p), l_f=l_f, vertices=vertices, root=root)
+
+
+def _link_problem(vertices: tuple[Vertex, ...], root: int) -> str | None:
+    """What keeps the vertices from forming a weighted tree, or None.
+
+    The evaluator indexes vertices by id and reads a weight-1 vertex as the
+    first on its stalk when its parent's weight is not 1, which needs the
+    weights not to grow below level 1 and the root to weigh 0.  Levels
+    fall by one along each parent link, so every walk up the parents ends
+    at the one parentless vertex, the root.
+    """
+    n = len(vertices)
+    for i, v in enumerate(vertices):
+        if v.id != i:
+            return f"vertex {i} has id {v.id}; ids must be 0..{n - 1} in order"
+    if not 0 <= root < n:
+        return f"root {root} is not a vertex id"
+    found: list[list[int]] = [[] for _ in vertices]
+    for v in vertices:
+        if v.parent is None:
+            if v.id != root:
+                return f"vertex {v.id} has no parent but is not the root {root}"
+            if v.level != 0 or v.weight != 0 or v.stalk_weight != 0:
+                return f"root {root} must have level, weight and stalk weight 0"
+            continue
+        if not 0 <= v.parent < n:
+            return f"vertex {v.id} has parent {v.parent}, which is not a vertex id"
+        found[v.parent].append(v.id)
+        parent = vertices[v.parent]
+        if v.level != parent.level + 1:
+            return f"vertex {v.id} is at level {v.level} below a level-{parent.level} parent"
+        if v.level > 1 and v.weight > parent.weight:
+            return f"vertex {v.id} has weight {v.weight} above its parent's {parent.weight}"
+        if v.stalk_weight != v.weight + parent.stalk_weight:
+            return (
+                f"vertex {v.id} has stalk weight {v.stalk_weight}, not its weight "
+                f"{v.weight} plus its parent's stalk weight {parent.stalk_weight}"
+            )
+    for v, kids in zip(vertices, found):
+        if list(v.children) != kids:
+            return f"vertex {v.id} has children {list(v.children)}, but is the parent of {kids}"
+    return None
 
 
 def tree_to_dot(tree: WeightedTree) -> str:

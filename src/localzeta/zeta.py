@@ -3,20 +3,25 @@
 Two independent evaluators are kept deliberately as mutual oracles:
 
 * ``generating_function`` sums one closed-form term per vertex of the
-  weighted residue-class tree;
+  weighted residue-class tree, in one pass over the vertices: a weight-1
+  vertex counts when its parent's weight is not 1, since weights never
+  grow below level 1;
 * ``spf_eval`` reduces each root once mod p**k and recurses on residue
   classes mod p (unit-locus count nu, simple-root count delta, and a
   sub-problem on the residues x // p per multiple root), closing
   single-root integrals in closed form.
 
-Both produce a ``ZetaFunction``: a t-power shift plus a list of terms
+Both form their terms as integers (c, j, t_pow, den_pow), meaning
+c / p**j, and share only the conversion to ``ZetaTerm``.  The result is a
+``ZetaFunction``: a t-power shift plus a list of terms
 ``coeff * t**a / (1 - t**b / p)`` (``b = 0`` meaning no denominator) in
 the variable t = p**(-s).  ``normalize`` combines the terms into a single
 canonical rational function, and ``poincare`` derives the generating
 series of the normalized solution counts from it.
 
-Both work in integers only.  With 1 - t**b/p = (p - t**b)/p, the term sum
-is num / (L * t**k * prod_b (p - t**b)) for one integer scale L and k the
+``normalize`` and ``poincare`` work in integers only.  With
+1 - t**b/p = (p - t**b)/p, the term sum is
+num / (L * t**k * prod_b (p - t**b)) for one integer scale L and k the
 negated shift (when negative).  Each t**b - p is Eisenstein at p, hence
 irreducible over Q, and distinct b give distinct factors, so the
 denominator's factorisation is known and its gcd with num needs no
@@ -42,7 +47,7 @@ from .polynomials import (
     reduce_to_integral_roots,
 )
 from .ratfunc import RationalFunctionT, rf_format
-from .tree import Vertex, WeightedTree, build_tree, minimal_weight_one_set
+from .tree import WeightedTree, build_tree
 
 Roots = tuple[tuple[Fraction, int], ...]
 
@@ -79,45 +84,44 @@ class ZetaFunction:
 # ---------------------------------------------------------------------------
 
 
-def vertex_term(
-    v: Vertex, ctx: PAdicContext, l_f: int, in_minimal_set: bool
-) -> ZetaTerm | None:
-    """The closed-form contribution of one tree vertex, or None.
-
-    Writing l for the level, W for the weight and W* for the stalk weight:
-
-    * level l_f+1, W >= 2:   (1 - 1/p) p**-l * t**W* / (1 - t**W / p)
-    * level <= l_f, W != 1:  (p - Val) p**-(l+1) * t**W*
-    * minimal weight-1 set:  (1 - 1/p) p**-l * t**W* / (1 - t / p)
-    * other weight-1 vertices contribute nothing.
-    """
-    p = ctx.p
-    if v.weight == 1:
-        if not in_minimal_set:
-            return None
-        return ZetaTerm(Fraction(p - 1, p ** (v.level + 1)), v.stalk_weight, 1)
-    if v.level == l_f + 1:
-        return ZetaTerm(Fraction(p - 1, p ** (v.level + 1)), v.stalk_weight, v.weight)
-    if v.valence == p:  # zero coefficient, omitted from the canonical term list
-        return None
-    return ZetaTerm(
-        Fraction(p - v.valence, p ** (v.level + 1)), v.stalk_weight, 0
-    )
-
-
 def generating_function(tree: WeightedTree, shift: int = 0) -> ZetaFunction:
     """Sum of the vertex terms of the tree, with the global t-shift attached.
 
-    The tree's own context is reused, so p is not proved prime again.
+    Writing l for the level, W for the weight, W* for the stalk weight and
+    Val for the valence, a vertex contributes:
+
+    * a weight-1 vertex whose parent's weight is not 1:
+      (1 - 1/p) p**-l * t**W* / (1 - t / p)
+    * level l_f+1, W >= 2:   (1 - 1/p) p**-l * t**W* / (1 - t**W / p)
+    * level <= l_f, W != 1:  (p - Val) p**-(l+1) * t**W*, omitted when Val = p
+    * other weight-1 vertices contribute nothing.
+
+    The weight-1 vertices that count are the first on their stalk.  A class
+    mod p**(l+1) lies inside its parent's class, so below level 1 no vertex
+    outweighs its parent, and the root weighs 0: a weight-1 vertex has a
+    weight-1 strict ancestor exactly when its parent weighs 1.  The tree's
+    own context is reused, so p is not proved prime again.
     """
-    ctx = tree.ctx
-    minimal = minimal_weight_one_set(tree)
+    p = tree.ctx.p
+    top = tree.l_f + 1
+    vertices = tree.vertices
     terms = []
-    for v in tree.vertices:
-        term = vertex_term(v, ctx, tree.l_f, v.id in minimal)
-        if term is not None:
-            terms.append(term)
-    return ZetaFunction(ctx=ctx, shift=shift, terms=tuple(terms))
+    for v in vertices:
+        if v.weight == 1:
+            if v.parent is None or vertices[v.parent].weight != 1:
+                terms.append((p - 1, v.level + 1, v.stalk_weight, 1))
+        elif v.level == top:
+            terms.append((p - 1, v.level + 1, v.stalk_weight, v.weight))
+        elif v.valence != p:
+            terms.append((p - v.valence, v.level + 1, v.stalk_weight, 0))
+    return ZetaFunction(ctx=tree.ctx, shift=shift, terms=_zeta_terms(terms, p))
+
+
+def _zeta_terms(
+    terms: list[tuple[int, int, int, int]], p: int
+) -> tuple[ZetaTerm, ...]:
+    """ZetaTerms of integer terms (c, j, t_pow, den_pow), coefficient c / p**j."""
+    return tuple(ZetaTerm(Fraction(c, p**j), a, b) for c, j, a, b in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +145,8 @@ def spf_eval(roots: Roots, ctx: PAdicContext) -> ZetaFunction:
         raise ValueError("roots must be pairwise distinct")
     k = _separation_depth(roots, ctx)
     xs = tuple((residue(r, ctx, k), e) for r, e in roots)
-    p = ctx.p
-    terms = _spf_terms(xs, p, depth=0, limit=k + 1)
-    return ZetaFunction(
-        ctx=ctx,
-        shift=0,
-        terms=tuple(ZetaTerm(Fraction(c, p**j), a, b) for c, j, a, b in terms),
-    )
+    terms = _spf_terms(xs, ctx.p, depth=0, limit=k + 1)
+    return ZetaFunction(ctx=ctx, shift=0, terms=_zeta_terms(terms, ctx.p))
 
 
 def _spf_terms(

@@ -10,13 +10,13 @@ from localzeta import (
     PAdicContext,
     build_tree,
     compute_lf,
-    minimal_weight_one_set,
     tree_from_json,
     tree_to_dot,
     tree_to_json,
     tree_to_text,
     vp,
 )
+from tree_reference import minimal_weight_one_set
 
 F = Fraction
 
@@ -29,6 +29,14 @@ def worked_tree():
 
 def by_level_residue(tree):
     return {(v.level, v.residue): v for v in tree.vertices}
+
+
+def levels(tree):
+    """Vertex ids grouped by level, level 0 first."""
+    grouped = [[] for _ in range(max(v.level for v in tree.vertices) + 1)]
+    for v in tree.vertices:
+        grouped[v.level].append(v.id)
+    return grouped
 
 
 def test_worked_example_structure():
@@ -56,8 +64,8 @@ def test_single_stalk_power():
     for p, e in [(2, 1), (3, 4), (5, 2)]:
         ctx = PAdicContext(p)
         tree = build_tree(FactoredPoly(F(1), ((F(0), e),)), ctx, 1)
-        assert [len(ids) for ids in tree.levels] == [1, 1, 1]
-        assert [tree.vertices[ids[0]].weight for ids in tree.levels] == [0, e, e]
+        assert [len(ids) for ids in levels(tree)] == [1, 1, 1]
+        assert [tree.vertices[ids[0]].weight for ids in levels(tree)] == [0, e, e]
 
 
 def test_split_at_depth_example():
@@ -128,13 +136,19 @@ def test_tree_invariants():
         degree = f.degree
         # level-slice weight conservation
         for m in range(1, l_f + 2):
-            assert sum(tree.vertices[i].weight for i in tree.levels[m]) == degree
+            assert sum(tree.vertices[i].weight for i in levels(tree)[m]) == degree
+        # serialization order: ids level by level with residues ascending,
+        # and every children tuple ascending
+        assert [v.id for v in tree.vertices] == list(range(len(tree.vertices)))
+        keys = [(v.level, v.residue) for v in tree.vertices]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert all(list(v.children) == sorted(v.children) for v in tree.vertices)
         # edges: every vertex except the root has one parent
         assert sum(v.valence for v in tree.vertices) == len(tree.vertices) - 1
         # roots are separated at levels l_f and l_f + 1
         mults = sorted(e for _, e in f.roots)
         for m in (l_f, l_f + 1):
-            assert sorted(tree.vertices[i].weight for i in tree.levels[m]) == mults
+            assert sorted(tree.vertices[i].weight for i in levels(tree)[m]) == mults
         # parent residues are reductions of child residues
         for v in tree.vertices:
             if v.parent is not None:
@@ -149,7 +163,7 @@ def test_tree_invariants():
         root_vertex = tree.vertices[tree.root]
         assert p - root_vertex.valence == p - len(residues)
         level1_light = sum(
-            1 for i in tree.levels[1] if tree.vertices[i].weight == 1
+            1 for i in levels(tree)[1] if tree.vertices[i].weight == 1
         )
         assert level1_light == sum(1 for e in residues.values() if e == 1)
 
@@ -196,6 +210,35 @@ def test_json_reader_rejects_an_empty_vertex_list():
     doc = {**tree_to_json(worked_tree()), "vertices": []}
     with pytest.raises(MalformedDocument, match="tree_from_json"):
         tree_from_json(doc)
+
+
+def edited_worked_json(edit):
+    """The worked tree's JSON document after edit(vertices, doc)."""
+    doc = tree_to_json(worked_tree())
+    edit(doc["vertices"], doc)
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda vs, doc: vs[2].update(id=7), "vertex 2 has id 7"),
+    (lambda vs, doc: vs.reverse(), "vertex 0 has id 5"),
+    (lambda vs, doc: doc.update(root=7), "root 7 is not a vertex id"),
+    (lambda vs, doc: doc.update(root=1), "vertex 0 has no parent but is not the root 1"),
+    (lambda vs, doc: vs[1].update(parent=None), "vertex 1 has no parent"),
+    (lambda vs, doc: vs[0].update(level=1), "root 0 must have level"),
+    (lambda vs, doc: vs[0].update(weight=1, stalk_weight=1), "root 0 must have level"),
+    (lambda vs, doc: vs[4].update(parent=42), "vertex 4 has parent 42"),
+    (lambda vs, doc: vs[4].update(parent=-1), "vertex 4 has parent -1"),
+    (lambda vs, doc: vs[1].update(children=[42]), r"vertex 1 has children \[42\]"),
+    (lambda vs, doc: vs[1].update(children=[2]), r"vertex 1 has children \[2\]"),
+    (lambda vs, doc: vs[1].update(children=[3, 2]), r"vertex 1 has children \[3, 2\]"),
+    (lambda vs, doc: vs[4].update(parent=1), "vertex 4 is at level 3"),
+    (lambda vs, doc: vs[3].update(weight=4, stalk_weight=7), "vertex 3 has weight 4 above"),
+    (lambda vs, doc: vs[5].update(stalk_weight=6), "vertex 5 has stalk weight 6"),
+])
+def test_json_reader_rejects_a_broken_tree(edit, message):
+    with pytest.raises(MalformedDocument, match="tree_from_json: " + message):
+        tree_from_json(edited_worked_json(edit))
 
 
 def test_json_reader_rejects_missing_vertices():

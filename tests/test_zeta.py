@@ -29,7 +29,6 @@ from localzeta import (
     compute_zeta,
     generating_function,
     make_ratfunc,
-    minimal_weight_one_set,
     normalize,
     parse_poly,
     poincare,
@@ -40,7 +39,6 @@ from localzeta import (
     rf_mul,
     rf_series,
     spf_eval,
-    vertex_term,
     vp,
     zeta_from_json,
     zeta_text,
@@ -53,11 +51,41 @@ from localzeta.errors import (
     PoleAtPoint,
     RecursionDepthExceeded,
 )
-from localzeta.ratfunc import poly_divmod, poly_is_zero, poly_mul, poly_shift, poly_sub
+from localzeta.ratfunc import poly_add, poly_is_zero, poly_mul, poly_trim
 from localzeta.zeta import _separation_depth, _spf_terms
 from spf_reference import classify_residues, dilate, spf_terms as reference_spf_terms
+from tree_reference import minimal_weight_one_set, tree_terms, vertex_term
 
 F = Fraction
+
+
+def poly_sub(a, b):
+    return poly_add(a, [-F(c) for c in b])
+
+
+def poly_shift(a, k):
+    """Multiply by t**k."""
+    if poly_is_zero(a):
+        return [F(0)]
+    return poly_trim([F(0)] * k + [F(c) for c in a])
+
+
+def poly_divmod(a, b):
+    """Quotient and remainder over Q; b must be nonzero."""
+    rem = poly_trim(a)
+    den = poly_trim(b)
+    if poly_is_zero(den):
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [F(0)] * max(len(rem) - len(den) + 1, 1)
+    while not poly_is_zero(rem) and len(rem) >= len(den):
+        shift = len(rem) - len(den)
+        factor = rem[-1] / den[-1]
+        quot[shift] = factor
+        for i, c in enumerate(den):
+            rem[shift + i] -= factor * c
+        # exact arithmetic: the leading term cancels, so the degree drops
+        rem = poly_trim(rem[: len(den) + shift - 1] or [F(0)])
+    return poly_trim(quot), rem
 
 
 def worked_setup():
@@ -265,6 +293,15 @@ def test_spf_eval_matches_the_fraction_recursion(case):
     assert list(spf_eval(roots, ctx).terms) == reference_spf_terms(roots, ctx)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(separation_cases())
+def test_generating_function_matches_the_search_from_the_root(case):
+    ctx, roots = case
+    f = FactoredPoly(F(1), roots)
+    tree = build_tree(f, ctx, compute_lf(f, ctx))
+    assert list(generating_function(tree).terms) == tree_terms(tree)
+
+
 def test_compute_lf_checks_its_depth_bound(monkeypatch):
     # (x - 1)(x - 10) at p = 3 has l_f = 3; a bound of 1 must not go unnoticed
     monkeypatch.setattr(localzeta.polynomials, "_separation_depth", lambda roots, ctx: 1)
@@ -377,7 +414,7 @@ def test_denominator_factors_come_from_top_weights():
         candidate = [1]
         top_weights = {
             tree.vertices[i].weight
-            for i in tree.levels[l_f + 1]
+            for i in [v.id for v in tree.vertices if v.level == l_f + 1]
             if tree.vertices[i].weight >= 2
         }
         for b in {1} | top_weights:
