@@ -14,6 +14,7 @@ the primitive integer form to full multiplicity.
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -64,6 +65,10 @@ class DensePoly:
         return all(c.denominator == 1 for c in self.coefficients)
 
 
+def _fraction(x: Fraction | int | str) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 @dataclass(frozen=True)
 class FactoredPoly:
     """unit * prod (x - root)**mult with pairwise distinct roots."""
@@ -72,18 +77,27 @@ class FactoredPoly:
     roots: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
-        unit = Fraction(self.unit)
+        """Coerce to Fractions, then sort the roots on an integer key.
+
+        With D the largest denominator, a/b sorts on a * D**2 // b.  Two
+        distinct roots a/b and c/d differ by at least 1/(b*d) >= 1/D**2,
+        so their keys differ by at least 1 and keep their order, while
+        equal roots get equal keys and end up adjacent.  The key has about
+        twice the bits of D, where a key over the lcm of the denominators
+        grows with the number of distinct denominators.
+        """
+        unit = _fraction(self.unit)
         if unit == 0:
             raise ValueError("unit must be nonzero")
-        roots = tuple(
-            sorted((Fraction(r), int(e)) for r, e in self.roots)
-        )
+        roots = [(_fraction(r), int(e)) for r, e in self.roots]
         if any(e < 1 for _, e in roots):
             raise ValueError("multiplicities must be >= 1")
-        if len({r for r, _ in roots}) != len(roots):
+        scale = max((r.denominator for r, _ in roots), default=1) ** 2
+        keyed = sorted((r.numerator * scale // r.denominator, r, e) for r, e in roots)
+        if any(a[0] == b[0] for a, b in zip(keyed, keyed[1:])):
             raise ValueError("roots must be pairwise distinct")
         object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "roots", tuple((r, e) for _, r, e in keyed))
 
     @property
     def degree(self) -> int:
@@ -139,14 +153,14 @@ _TOKEN_CHARS = {"+", "-", "*", "^", "/", "(", ")"}
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(text):
+    i, n = 0, len(text)
+    while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():  # exactly the digits int() accepts
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -158,7 +172,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             i += 1
         else:
             raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", len(text)))
+    tokens.append(("end", "", n))
     return tokens
 
 
@@ -189,7 +203,8 @@ class _Parser:
                 position,
             ) from None
 
-    def number(self, allow_sign: bool = False) -> Fraction:
+    def pair(self, allow_sign: bool = False) -> tuple[int, int]:
+        """The next number as a reduced pair (a, b) with b > 0, meaning a/b."""
         sign = 1
         if allow_sign and self.peek()[0] in ("+", "-"):
             if self.peek()[0] == "-":
@@ -201,8 +216,9 @@ class _Parser:
             den, position = self.integer("a denominator")
             if den == 0:
                 raise ParseError("zero denominator", position)
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+            g = math.gcd(num, den)
+            return sign * num // g, den // g
+        return sign * num, 1
 
     def exponent(self) -> int:
         self.take("^", "'^'")
@@ -218,7 +234,7 @@ def _parse_expression(p: _Parser) -> DensePoly:
     while True:
         tok = p.peek()
         if tok[0] == "int":
-            c = p.number()
+            c = Fraction(*p.pair())
             if p.peek()[0] == "*":
                 p.pos += 1
                 p.take("x", "'x'")
@@ -245,14 +261,16 @@ def _parse_expression(p: _Parser) -> DensePoly:
 
 
 def _parse_factored(p: _Parser) -> FactoredPoly:
-    unit = Fraction(1)
+    sign = 1
     if p.peek()[0] in ("+", "-"):
-        unit = -unit if p.peek()[0] == "-" else unit
+        sign = -1 if p.peek()[0] == "-" else 1
         p.pos += 1
+    unit = (sign, 1)
     if p.peek()[0] == "int":
-        unit *= p.number()
+        a, b = p.pair()
+        unit = (sign * a, b)
         p.take("*", "'*' after the unit")
-    roots: dict[Fraction, int] = {}
+    roots: dict[tuple[int, int], int] = {}  # reduced (a, b) -> multiplicity
     while True:
         p.take("(", "'('")
         p.take("x", "'x'")
@@ -261,7 +279,8 @@ def _parse_factored(p: _Parser) -> FactoredPoly:
             raise ParseError("expected '-' or '+' inside factor", tok[2])
         outer = -1 if tok[0] == "+" else 1
         p.pos += 1
-        root = outer * p.number(allow_sign=True)
+        a, b = p.pair(allow_sign=True)
+        root = (outer * a, b)
         p.take(")", "')'")
         if p.peek()[0] == "^":
             tok = p.peek()
@@ -275,9 +294,11 @@ def _parse_factored(p: _Parser) -> FactoredPoly:
         if tok[0] == "end":
             break
         p.take("*", "'*' between factors")
-    if unit == 0:
+    if unit[0] == 0:
         raise ZeroPolynomial("zero unit")
-    return FactoredPoly(unit, tuple(roots.items()))
+    return FactoredPoly(
+        Fraction(*unit), tuple((Fraction(a, b), e) for (a, b), e in roots.items())
+    )
 
 
 def parse_poly(text: str) -> DensePoly | FactoredPoly:
@@ -286,7 +307,8 @@ def parse_poly(text: str) -> DensePoly | FactoredPoly:
     Expression form: sum of terms ``c``, ``c*x^k``, ``x^k``, ``x`` joined by
     '+'/'-'.  Factored form: optional ``c*`` prefix, then ``(x - c)^k``
     factors joined by '*'.  ``c`` is an integer or ``a/b`` fraction;
-    whitespace is ignored.  Duplicate factors are merged.
+    whitespace is ignored.  Duplicate factors are merged on the reduced
+    value, so ``(x - 1/2)*(x - 2/4)`` is ``(x - 1/2)^2``.
     """
     parser = _Parser(text)
     factored = any(tok[0] == "(" for tok in parser.tokens)
@@ -435,11 +457,12 @@ def reduce_to_integral_roots(
     shift = unit_v
     keep = []
     for root, mult in f.roots:
-        v = vp(root, ctx)
-        if v < 0:
-            shift += mult * v
-        else:
+        if root.denominator % ctx.p:  # reduced, so v_p < 0 iff p | denominator
             keep.append((root, mult))
+        else:
+            shift += mult * vp(root, ctx)
+    if unit_v == 0 and len(keep) == len(f.roots):
+        return ReducedInput(0, f)
     unit = f.unit / Fraction(ctx.p) ** unit_v
     return ReducedInput(int(shift), FactoredPoly(unit, tuple(keep)))
 

@@ -156,7 +156,7 @@ def tree_from_json(doc: dict | str) -> WeightedTree:
         p, l_f, root = int(doc["p"]), int(doc["l_f"]), int(doc["root"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"tree_from_json: {exc!r}") from exc
-    problem = _link_problem(vertices, root)
+    problem = _link_problem(vertices, root) or _depth_problem(vertices, l_f)
     if problem:
         raise MalformedDocument(f"tree_from_json: {problem}")
     return WeightedTree(ctx=PAdicContext(p), l_f=l_f, vertices=vertices, root=root)
@@ -201,6 +201,24 @@ def _link_problem(vertices: tuple[Vertex, ...], root: int) -> str | None:
     for v, kids in zip(vertices, found):
         if list(v.children) != kids:
             return f"vertex {v.id} has children {list(v.children)}, but is the parent of {kids}"
+    return None
+
+
+def _depth_problem(vertices: tuple[Vertex, ...], l_f: int) -> str | None:
+    """What keeps l_f from being the tree's separation depth, or None.
+
+    Every root has a residue at each level 1..l_f+1, so every vertex lies
+    at level l_f+1 or has a child; the evaluator reads a vertex as inner
+    or top by its level alone.  A tree of no roots is its root alone.
+    """
+    if l_f < 1:
+        return f"l_f = {l_f} must be >= 1"
+    top = l_f + 1
+    for v in vertices:
+        if v.level > top:
+            return f"vertex {v.id} lies at level {v.level}, deeper than l_f + 1 = {top}"
+        if not v.children and v.level < top and len(vertices) > 1:
+            return f"leaf {v.id} lies at level {v.level}, above l_f + 1 = {top}"
     return None
 
 

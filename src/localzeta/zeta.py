@@ -42,6 +42,7 @@ from .padic import PAdicContext, residue
 from .polynomials import (
     DensePoly,
     FactoredPoly,
+    _fraction,
     _separation_depth,
     compute_lf,
     reduce_to_integral_roots,
@@ -120,8 +121,13 @@ def generating_function(tree: WeightedTree, shift: int = 0) -> ZetaFunction:
 def _zeta_terms(
     terms: list[tuple[int, int, int, int]], p: int
 ) -> tuple[ZetaTerm, ...]:
-    """ZetaTerms of integer terms (c, j, t_pow, den_pow), coefficient c / p**j."""
-    return tuple(ZetaTerm(Fraction(c, p**j), a, b) for c, j, a, b in terms)
+    """ZetaTerms of integer terms (c, j, t_pow, den_pow), coefficient c / p**j.
+
+    A term list reuses a few coefficients many times, so each distinct
+    (c, j) becomes a Fraction once.
+    """
+    coeffs = {cj: Fraction(cj[0], p ** cj[1]) for cj in {(c, j) for c, j, _, _ in terms}}
+    return tuple(ZetaTerm(coeffs[c, j], a, b) for c, j, a, b in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +146,8 @@ def spf_eval(roots: Roots, ctx: PAdicContext) -> ZetaFunction:
     closed in one step as (1 - 1/p) / (1 - t**e / p); an empty root set
     integrates a unit, giving 1.
     """
-    roots = tuple((Fraction(r), int(e)) for r, e in roots)
-    if len({r for r, _ in roots}) != len(roots):
+    roots = tuple((_fraction(r), int(e)) for r, e in roots)
+    if len({(r.numerator, r.denominator) for r, _ in roots}) != len(roots):
         raise ValueError("roots must be pairwise distinct")
     k = _separation_depth(roots, ctx)
     xs = tuple((residue(r, ctx, k), e) for r, e in roots)

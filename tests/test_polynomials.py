@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from localzeta import (
     NegativeValuation,
     PAdicContext,
     ParseError,
+    ReducedInput,
     SplittingFieldNotQ,
     ZeroPolynomial,
     as_integer_poly,
@@ -105,6 +107,79 @@ def test_parse_rejects_literals_past_the_digit_limit(template, position):
         parse_poly(template.format("7" * (limit + 100)))
     assert err.value.position == position
     assert f"limit of {limit} digits" in str(err.value)
+
+
+@pytest.mark.parametrize("text, position", [("x^\u00b2-1", 2), ("(x-1)^\u00b2", 6)])
+def test_parse_rejects_superscript_digits(text, position):
+    # str.isdigit accepts '\u00b2' but int() does not; it is no digit here
+    with pytest.raises(ParseError) as err:
+        parse_poly(text)
+    assert err.value.position == position
+    assert "unexpected character '\u00b2'" in str(err.value)
+
+
+def test_parse_reads_any_decimal_digit():
+    # int() reads every Unicode decimal digit, e.g. ARABIC-INDIC DIGIT THREE
+    assert parse_poly("(x - \u0663)").roots == ((F(3), 1),)
+
+
+space = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def factored_texts(draw):
+    """Factored text, and the unit and (value -> multiplicity) it stands for.
+
+    Roots come from a small pool, so factors repeat, and each is written
+    with an extra common factor g (2/4 for 1/2) and its sign split between
+    the factor's '-'/'+' and a sign on the number.
+    """
+    def sp():
+        return draw(space)
+
+    def written(a, b):
+        g = draw(st.integers(1, 3))
+        if b * g == 1 and draw(st.booleans()):
+            return str(a)
+        return f"{a * g}{sp()}/{sp()}{b * g}"
+
+    text, unit = "", F(1)
+    lead = draw(st.sampled_from(["", "+", "-"]))
+    if lead:
+        text += lead + sp()
+        unit = F(-1) if lead == "-" else unit
+    if draw(st.booleans()):
+        a, b = draw(st.integers(1, 10**4)), draw(st.integers(1, 10**3))
+        text += written(a, b) + sp() + "*" + sp()
+        unit *= F(a, b)
+    pool = draw(st.lists(
+        st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**3)),
+        min_size=1, max_size=6,
+    ))
+    roots: Counter = Counter()
+    factors = []
+    for _ in range(draw(st.integers(1, 8))):
+        root = draw(st.sampled_from(pool))
+        outer = draw(st.sampled_from("-+"))
+        negate = (root < 0) == (outer == "-")  # the sign the number carries
+        inner = "-" if negate else draw(st.sampled_from(["", "+"]))
+        number = written(abs(root.numerator), root.denominator)
+        mult = draw(st.integers(1, 4))
+        power = f"{sp()}^{sp()}{mult}" if mult > 1 or draw(st.booleans()) else ""
+        factors.append(f"({sp()}x{sp()}{outer}{sp()}{inner}{number}{sp()}){power}")
+        roots[root] += mult
+    text += f"{sp()}*{sp()}".join(factors)
+    return sp() + text + sp(), unit, roots
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(factored_texts())
+def test_parse_factored_matches_a_fraction_reference(case):
+    text, unit, roots = case
+    f = parse_poly(text)
+    assert isinstance(f, FactoredPoly)
+    assert f.unit == unit
+    assert f.roots == tuple(sorted(roots.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +346,66 @@ def test_expand_matches_the_fraction_product(unit, roots):
 # ---------------------------------------------------------------------------
 # reduction and separation depth
 # ---------------------------------------------------------------------------
+
+
+root_values = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(root_values, st.integers(1, 4)), max_size=12), st.randoms())
+def test_factored_poly_orders_roots_as_fractions_do(roots, rng):
+    merged = dict(roots)
+    # Farey neighbours of order 10**6 differ by 1/(b*d) only
+    merged.update({F(1, 10**6): 1, F(1, 10**6 - 1): 1, F(10**6 - 2, 10**6 - 1): 2})
+    written = [
+        (rng.choice([r, str(r)] + ([int(r)] if r.denominator == 1 else [])), e)
+        for r, e in merged.items()
+    ]
+    rng.shuffle(written)
+    f = FactoredPoly(F(1), tuple(written))
+    assert f.roots == tuple(sorted(((F(r), e) for r, e in written), key=lambda re: re[0]))
+    assert all(type(r) is F for r, _ in f.roots)
+
+
+@pytest.mark.parametrize("a, b", [(1, F(2, 2)), (F(1, 2), "2/4"), (F(-3, 7), "-6/14")])
+def test_factored_poly_rejects_equal_roots_written_differently(a, b):
+    with pytest.raises(ValueError, match="roots must be pairwise distinct"):
+        FactoredPoly(F(1), ((a, 1), (F(5), 1), (b, 2)))
+
+
+def reduce_reference(f, ctx):
+    """The rule reduce_to_integral_roots follows, one vp per root."""
+    unit_v = vp(f.unit, ctx)
+    shift, keep = unit_v, []
+    for root, mult in f.roots:
+        v = vp(root, ctx)
+        if v < 0:
+            shift += mult * v
+        else:
+            keep.append((root, mult))
+    return ReducedInput(int(shift), FactoredPoly(f.unit / F(ctx.p) ** unit_v, tuple(keep)))
+
+
+@st.composite
+def reduce_cases(draw):
+    """A prime and a factored f whose roots and unit carry powers of p."""
+    p = draw(st.sampled_from([2, 3, 5, 101, 10**12 + 39]))
+    p_powers = st.builds(lambda k: F(p) ** k, st.integers(-3, 3))
+    unit = draw(st.builds(
+        lambda a, b, s: a * b * s, root_values.filter(bool), p_powers, st.sampled_from([1, -1])
+    ))
+    roots = draw(st.dictionaries(
+        st.builds(lambda r, s: r * s, root_values, p_powers), st.integers(1, 4), max_size=10
+    ))
+    return p, FactoredPoly(unit, tuple(roots.items()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(reduce_cases())
+def test_reduce_matches_the_per_root_rule(case):
+    p, f = case
+    ctx = PAdicContext(p)
+    assert reduce_to_integral_roots(f, ctx) == reduce_reference(f, ctx)
 
 
 def test_reduce_examples():

@@ -10,6 +10,8 @@ from localzeta import (
     PAdicContext,
     build_tree,
     compute_lf,
+    parse_poly,
+    reduce_to_integral_roots,
     tree_from_json,
     tree_to_dot,
     tree_to_json,
@@ -239,6 +241,28 @@ def edited_worked_json(edit):
 def test_json_reader_rejects_a_broken_tree(edit, message):
     with pytest.raises(MalformedDocument, match="tree_from_json: " + message):
         tree_from_json(edited_worked_json(edit))
+
+
+@pytest.mark.parametrize("l_f, message", [
+    (0, "l_f = 0 must be >= 1"),
+    (-2, "l_f = -2 must be >= 1"),
+    (1, "vertex 4 lies at level 3, deeper than l_f \\+ 1 = 2"),
+    (3, "leaf 4 lies at level 3, above l_f \\+ 1 = 4"),
+    (7, "leaf 4 lies at level 3, above l_f \\+ 1 = 8"),
+])
+def test_json_reader_rejects_a_wrong_l_f(l_f, message):
+    # the worked tree has l_f = 2: every leaf lies at level 3
+    with pytest.raises(MalformedDocument, match="tree_from_json: " + message):
+        tree_from_json(edited_worked_json(lambda vs, doc: doc.update(l_f=l_f)))
+
+
+def test_json_round_trip_of_the_root_alone():
+    # (x - 1/3) at p = 3 reduces to no roots: its tree is a lone root at level 0
+    ctx = PAdicContext(3)
+    fplus = reduce_to_integral_roots(parse_poly("(x - 1/3)"), ctx).fplus
+    tree = build_tree(fplus, ctx, compute_lf(fplus, ctx))
+    assert [(v.level, v.children) for v in tree.vertices] == [(0, ())]
+    assert tree_from_json(json.dumps(tree_to_json(tree))) == tree
 
 
 def test_json_reader_rejects_missing_vertices():

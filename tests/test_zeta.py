@@ -234,6 +234,17 @@ def test_unit_with_p_content_shifts_the_counts():
     assert counts[:3] == [1, 3, 3]
 
 
+@pytest.mark.parametrize("a, b", [(1, F(2, 2)), (F(1, 2), "2/4")])
+def test_spf_eval_rejects_equal_roots_written_differently(a, b):
+    with pytest.raises(ValueError, match="roots must be pairwise distinct"):
+        spf_eval(((a, 1), (F(4), 1), (b, 2)), PAdicContext(3))
+
+
+def test_spf_eval_reads_integer_and_text_roots():
+    ctx = PAdicContext(3)
+    assert spf_eval(((1, 2), ("4", 1)), ctx) == spf_eval(((F(1), 2), (F(4), 1)), ctx)
+
+
 def test_recursion_depth_guard():
     with pytest.raises(RecursionDepthExceeded):
         _spf_terms(((0, 2), (9, 1)), 3, depth=5, limit=4)
