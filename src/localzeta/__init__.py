@@ -9,10 +9,8 @@ result cross-checkable against a brute-force counting oracle.
 
 from .counting import (
     DEFAULT_CAP,
-    CountSequence,
     brute_counts_upto,
     coeff_stream,
-    count_sequence,
     counts_from_coeffs,
     solution_counts,
 )

@@ -12,11 +12,12 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .counting import (
     DEFAULT_CAP,
     brute_counts_upto,
-    count_sequence,
+    check_counts,
     decimal,
     poincare_counts,
     solution_counts,
@@ -78,15 +79,23 @@ def _cmd_poincare(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str
 def _cmd_count(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
     f = parse_poly(args.poly)
     if args.method != "all":
-        seq = count_sequence(f, ctx, args.max_m, args.method, cap=args.brute_cap)
+        # c_m = (p*N_m - N_(m+1)) / p**(m+1) needs N_(m+1): the evaluators give
+        # one level more so c_max_m is printed, the oracle stops at the cap's depth
+        depth = args.max_m + (args.method != "brute")
+        counts = solution_counts(f, ctx, depth, args.method, cap=args.brute_cap)
+        shown = counts[: args.max_m + 1]
         if args.format == "json":
+            p = ctx.p
+            coeffs = (
+                Fraction(p * counts[m] - counts[m + 1], p ** (m + 1)) for m in range(depth)
+            )
             doc = {
-                "p": str(ctx.p),
-                "counts": [decimal(v) for v in seq.counts],
-                "coeffs": [decimal(c) for c in seq.coeffs],
+                "p": str(p),
+                "counts": [decimal(v) for v in shown],
+                "coeffs": [decimal(c) for c in coeffs],
             }
             return 0, json.dumps(doc, indent=2)
-        return 0, "\n".join(f"N_{m} = {decimal(v)}" for m, v in enumerate(seq.counts))
+        return 0, "\n".join(f"N_{m} = {decimal(v)}" for m, v in enumerate(shown))
     columns = {}
     for method in ("tree", "spf", "brute"):
         columns[method] = solution_counts(f, ctx, args.max_m, method, cap=args.brute_cap)
@@ -183,9 +192,11 @@ def _cmd_verify(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
         dense = None
     if dense is not None and z_tree.shift >= 0:
         counts = expanded[: args.max_m + 1]
-        ok = all(
-            0 <= counts[n + 1] <= ctx.p * counts[n] for n in range(len(counts) - 1)
-        )
+        ok = True
+        try:
+            check_counts(counts, ctx.p)
+        except NonIntegralCount:
+            ok = False
         checks.append(("counts are integral and within lifting bounds", ok,
                        " ".join(map(decimal, counts))))
         n_brute = 0

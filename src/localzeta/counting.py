@@ -10,19 +10,20 @@ computed in integers on two independent routes:
   residue recursion's Poincare series with its coefficients rescaled by
   powers of p (``poincare_counts``).
 
-Both routes are checked by the same integer test (``check_counts``), and
-the c_m are derived from the counts only where a caller reports them.
-``coeff_stream`` and ``counts_from_coeffs`` keep the rational-arithmetic
-reference.  The brute-force oracle counts the solutions of f = 0 mod p**m
-directly, by lifting the solutions mod p**m to those mod p**(m+1) one
-digit at a time, and counts a residue class outright once the Taylor
-coefficients of f fix v_p(f) on it.
+``solution_counts`` gives N_0..N_u by either route or by the oracle
+below, all checked by the same integer test (``check_counts``).  The
+counts are the only count type: c_m = (p*N_m - N_(m+1)) / p**(m+1) is
+formed only where the ``count`` command prints it.  ``coeff_stream``
+and ``counts_from_coeffs`` keep the rational-arithmetic reference.  The
+brute-force oracle counts the solutions of f = 0 mod p**m directly, by
+lifting the solutions mod p**m to those mod p**(m+1) one digit at a
+time, and counts a residue class outright once the Taylor coefficients
+of f fix v_p(f) on it.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,39 +37,6 @@ from .zeta import ZetaFunction, compute_zeta, poincare
 DEFAULT_CAP = 10**7
 _VECTOR_LIMIT = 2**31  # int64 stays exact: residues < 2**31, products < 2**62
 _BLOCK = 1 << 18
-
-
-@dataclass(frozen=True)
-class CountSequence:
-    """Exact streams c_0..c_M and N_0..N_u for one polynomial and prime."""
-
-    p: int
-    coeffs: tuple[Fraction, ...]
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        """Re-derive N_(m+1) = p*N_m - p**(m+1)*c_m in integers.
-
-        Every p**(m+1)*c_m must be an integer, every derived count must
-        equal the given one, and the counts (given or derived past the
-        given ones) must satisfy N_0 = 1 and 0 <= N_(m+1) <= p*N_m, which
-        is 0 <= c_m and c_0 + ... + c_m <= 1.
-        """
-        p = self.p
-        counts = list(self.counts) or [1]
-        power = 1
-        for m, c in enumerate(self.coeffs):
-            power *= p
-            if power % c.denominator:
-                raise NonIntegralCount(f"p^{m + 1} * c_{m} = p^{m + 1} * {c} is not an integer")
-            derived = p * counts[m] - c.numerator * (power // c.denominator)
-            if m + 1 == len(counts):
-                counts.append(derived)
-            elif counts[m + 1] != derived:
-                raise NonIntegralCount(
-                    f"c_{m} = {c} gives N_{m + 1} = {derived}, not {counts[m + 1]}"
-                )
-        check_counts(counts, p)
 
 
 def check_counts(counts: list[int], p: int) -> list[int]:
@@ -317,34 +285,8 @@ def _settle(
 
 
 # ---------------------------------------------------------------------------
-# assembled sequences
+# assembled counts
 # ---------------------------------------------------------------------------
-
-
-def _checked_counts(
-    f: DensePoly | FactoredPoly, ctx: PAdicContext, u: int, method: str, cap: int
-) -> list[int]:
-    """N_0..N_(u+1) by `tree` or `spf`, N_0..N_u by `brute`; checked.
-
-    The evaluator routes go one level further so that c_u passes the same
-    integer test as c_0..c_(u-1); the oracle stops at the depth the cap
-    was asked for.
-    """
-    if u < 0:
-        raise LocalZetaError("max-m/length must be nonnegative")
-    dense = as_integer_poly(f)
-    if method == "brute":
-        counts = brute_counts_upto(dense, ctx, u, cap=cap)
-    elif method == "tree":
-        counts = tree_counts(compute_zeta(f, ctx, method="tree"), u + 1)
-    elif method == "spf":
-        z = compute_zeta(f, ctx, method="spf")
-        if z.shift < 0:
-            raise NegativeShift(f"shift {z.shift} < 0: not a power series in t")
-        counts = poincare_counts(poincare(z), ctx.p, u + 1)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return check_counts(counts, ctx.p)
 
 
 def solution_counts(
@@ -359,31 +301,24 @@ def solution_counts(
     `tree` expands the tree terms and `spf` long-divides H(pu) from the
     residue recursion (see ``tree_counts`` and ``poincare_counts``);
     `brute` counts the solutions by lifting them digit by digit, so it
-    never sees the zeta function at all.  No coefficient c_m is formed.
+    never sees the zeta function at all.  Every route's counts pass
+    ``check_counts``.  No coefficient c_m is formed.
     """
-    return _checked_counts(f, ctx, u, method, cap)[: u + 1]
-
-
-def count_sequence(
-    f: DensePoly | FactoredPoly,
-    ctx: PAdicContext,
-    max_m: int,
-    method: str = "tree",
-    cap: int = DEFAULT_CAP,
-) -> CountSequence:
-    """c_0..c_max_m and N_0..N_max_m for f in Z[x], by the chosen method.
-
-    The counts are those of ``solution_counts``, and the coefficients come
-    from them as c_m = (p*N_m - N_(m+1)) / p**(m+1).  `tree` and `spf`
-    reach N_(max_m+1) and so give c_max_m; `brute` gives c_0..c_(max_m-1).
-    """
-    counts = _checked_counts(f, ctx, max_m, method, cap)
-    p = ctx.p
-    coeffs = tuple(
-        Fraction(p * counts[m] - counts[m + 1], p ** (m + 1))
-        for m in range(len(counts) - 1)
-    )
-    return CountSequence(p=p, coeffs=coeffs, counts=tuple(counts[: max_m + 1]))
+    if u < 0:
+        raise LocalZetaError("max-m/length must be nonnegative")
+    dense = as_integer_poly(f)
+    if method == "brute":
+        counts = brute_counts_upto(dense, ctx, u, cap=cap)
+    elif method == "tree":
+        counts = tree_counts(compute_zeta(f, ctx, method="tree"), u)
+    elif method == "spf":
+        z = compute_zeta(f, ctx, method="spf")
+        if z.shift < 0:
+            raise NegativeShift(f"shift {z.shift} < 0: not a power series in t")
+        counts = poincare_counts(poincare(z), ctx.p, u)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return check_counts(counts, ctx.p)
 
 
 def decimal(value: int | Fraction) -> str:

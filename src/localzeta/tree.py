@@ -156,7 +156,11 @@ def tree_from_json(doc: dict | str) -> WeightedTree:
         p, l_f, root = int(doc["p"]), int(doc["l_f"]), int(doc["root"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"tree_from_json: {exc!r}") from exc
-    problem = _link_problem(vertices, root) or _depth_problem(vertices, l_f)
+    problem = (
+        _link_problem(vertices, root)
+        or _residue_problem(vertices, p)
+        or _depth_problem(vertices, l_f)
+    )
     if problem:
         raise MalformedDocument(f"tree_from_json: {problem}")
     return WeightedTree(ctx=PAdicContext(p), l_f=l_f, vertices=vertices, root=root)
@@ -201,6 +205,30 @@ def _link_problem(vertices: tuple[Vertex, ...], root: int) -> str | None:
     for v, kids in zip(vertices, found):
         if list(v.children) != kids:
             return f"vertex {v.id} has children {list(v.children)}, but is the parent of {kids}"
+    return None
+
+
+def _residue_problem(vertices: tuple[Vertex, ...], p: int) -> str | None:
+    """What keeps the residues from naming residue classes, or None.
+
+    A level-m vertex is a class mod p**m: its residue lies in [0, p**m),
+    reduces mod p**(m-1) to its parent's, and differs from its siblings'.
+    The links are checked first, so every level is the vertex's depth.
+    """
+    seen: dict[tuple[int | None, int], int] = {}
+    for v in vertices:
+        if not 0 <= v.residue < p**v.level:
+            return f"vertex {v.id} has residue {v.residue}, not in [0, {p}^{v.level})"
+        if v.parent is not None:
+            parent = vertices[v.parent]
+            if (v.residue - parent.residue) % p**parent.level:
+                return (
+                    f"vertex {v.id} has residue {v.residue}, not its parent's "
+                    f"{parent.residue} mod {p}^{parent.level}"
+                )
+        twin = seen.setdefault((v.parent, v.residue), v.id)
+        if twin != v.id:
+            return f"vertex {v.id} has the residue {v.residue} of its sibling {twin}"
     return None
 
 

@@ -5,10 +5,22 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import localzeta.cli
-from localzeta import RationalFunctionT, tree_from_json, zeta_from_json
+from localzeta import (
+    PAdicContext,
+    RationalFunctionT,
+    coeff_stream,
+    compute_zeta,
+    counts_from_coeffs,
+    parse_poly,
+    tree_from_json,
+    zeta_from_json,
+)
 from localzeta.cli import main
+from localzeta.counting import decimal
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +84,50 @@ def test_count_json(capsys):
         "counts": ["1", "1", "1"],
         "coeffs": ["6/7", "6/49", "6/343"],
     }
+
+
+@st.composite
+def count_cases(draw):
+    """(poly text, p, max_m, method): a factored polynomial in Z[x].
+
+    Integer roots with multiplicities, sometimes a second root close to the
+    first p-adically, and a unit or a content divisible by p in front.
+    `brute` stops at p**max_m <= 10**6.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    roots = draw(st.dictionaries(st.integers(-40, 40), st.integers(1, 3),
+                                 min_size=1, max_size=4))
+    if draw(st.booleans()):
+        first = min(roots)
+        roots.setdefault(first + p ** draw(st.integers(1, 6)), draw(st.integers(1, 2)))
+    lead = draw(st.sampled_from([1, -1, 2, 30, p]))
+    factors = "*".join(
+        f"(x {'-' if r >= 0 else '+'} {abs(r)})^{m}" for r, m in sorted(roots.items())
+    )
+    method = draw(st.sampled_from(["tree", "spf", "brute"]))
+    top = max(m for m in range(13) if p**m <= 10**6) if method == "brute" else 12
+    return f"{lead}*{factors}", p, draw(st.integers(0, top)), method
+
+
+def test_printed_coefficients_match_the_rational_reference(capsys):
+    # c_m = (p*N_m - N_(m+1)) / p**(m+1) is formed only where count prints it
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(count_cases())
+    def check(case):
+        poly, p, max_m, method = case
+        status, out, _ = run_cli(
+            capsys, "count", "--poly", poly, "--prime", str(p),
+            "--max-m", str(max_m), "--method", method, "--format", "json",
+        )
+        assert status == 0
+        doc = json.loads(out)
+        ctx = PAdicContext(p)
+        coeffs = coeff_stream(compute_zeta(parse_poly(poly), ctx), max_m)
+        shown = coeffs[:max_m] if method == "brute" else coeffs
+        assert doc["coeffs"] == [decimal(c) for c in shown]
+        assert doc["counts"] == [decimal(n) for n in counts_from_coeffs(coeffs, ctx, max_m)]
+
+    check()
 
 
 def test_keystream_text_and_json(capsys):

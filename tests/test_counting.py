@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from localzeta import (
     CapExceeded,
-    CountSequence,
     DensePoly,
     FactoredPoly,
     IntegralityError,
@@ -24,7 +23,6 @@ from localzeta import (
     brute_counts_upto,
     coeff_stream,
     compute_zeta,
-    count_sequence,
     counts_from_coeffs,
     keystream,
     normalize,
@@ -34,7 +32,7 @@ from localzeta import (
     rf_series,
     solution_counts,
 )
-from localzeta.counting import poincare_counts, tree_counts
+from localzeta.counting import check_counts, poincare_counts, tree_counts
 
 F = Fraction
 
@@ -143,18 +141,18 @@ def test_count_sequence_methods_agree():
     ctx = PAdicContext(3)
     f = parse_poly("(x-1)^2*(x-4)")
     results = {
-        m: count_sequence(f, ctx, 5, method=m) for m in ("tree", "spf", "brute")
+        m: solution_counts(f, ctx, 6, method=m) for m in ("tree", "spf", "brute")
     }
-    for seq in results.values():
-        assert seq.counts == (1, 1, 3, 9, 18, 36)
-    assert results["tree"].coeffs == results["spf"].coeffs
-    assert results["brute"].coeffs == results["tree"].coeffs[:5]
+    for counts in results.values():
+        assert counts[:6] == [1, 1, 3, 9, 18, 36]
+    assert results["tree"] == results["spf"]
+    assert results["brute"] == results["tree"]
 
 
 def test_count_sequence_requires_integer_coefficients():
     ctx = PAdicContext(3)
     with pytest.raises(IntegralityError):
-        count_sequence(parse_poly("(x - 1/2)^2"), ctx, 3)
+        solution_counts(parse_poly("(x - 1/2)^2"), ctx, 3)
 
 
 def test_series_and_expansion_agree():
@@ -182,12 +180,13 @@ def test_partial_sums_and_lifting_bounds():
         while len(roots) < rng.randint(1, 3):
             roots[F(rng.randint(-20, 20))] = rng.randint(1, 4)
         f = FactoredPoly(F(1), tuple(roots.items()))
-        seq = count_sequence(f, ctx, 8)
-        total = sum(seq.coeffs)
+        counts = solution_counts(f, ctx, 9)
+        # c_0 + ... + c_8 = 1 - N_9 / p**9
+        total = 1 - F(counts[9], p**9)
         assert 0 <= total <= 1
         for n in range(8):
-            assert seq.counts[n + 1] <= p * seq.counts[n]
-            assert seq.counts[n] <= p**n
+            assert counts[n + 1] <= p * counts[n]
+            assert counts[n] <= p**n
 
 
 def test_poincare_series_consistency():
@@ -221,20 +220,14 @@ def test_keystream_length_zero():
     assert keystream(parse_poly("x^2 - 1"), PAdicContext(2), 0).values == (1,)
 
 
-def test_count_sequence_validation():
-    with pytest.raises(NonIntegralCount):
-        CountSequence(p=3, coeffs=(F(1, 2),), counts=(1,))
-    with pytest.raises(NonIntegralCount):
-        CountSequence(p=3, coeffs=(), counts=(2,))
-    with pytest.raises(NonIntegralCount):
-        CountSequence(p=3, coeffs=(), counts=(1, 7))
-    # c_0 = 1/3 forces N_1 = 3*1 - 3*(1/3) = 2
-    with pytest.raises(NonIntegralCount, match="gives N_1 = 2, not 3"):
-        CountSequence(p=3, coeffs=(F(1, 3), F(0)), counts=(1, 3))
-    CountSequence(p=3, coeffs=(F(1, 3), F(0)), counts=(1, 2))
-    # past the given counts, the derived ones must still obey the bounds
-    with pytest.raises(NonIntegralCount, match="lifting bound"):
-        CountSequence(p=3, coeffs=(F(1, 3), F(1)), counts=(1, 2))
+def test_check_counts():
+    assert check_counts([1, 2, 6, 0], 3) == [1, 2, 6, 0]
+    with pytest.raises(NonIntegralCount, match="N_0 must be 1"):
+        check_counts([2], 3)
+    with pytest.raises(NonIntegralCount, match="N_1 violates the lifting bound"):
+        check_counts([1, 7], 3)  # N_1 > p*N_0
+    with pytest.raises(NonIntegralCount, match="N_2 violates the lifting bound"):
+        check_counts([1, 2, -1], 3)
 
 
 def test_brute_counts_upto_rejects_negative_depth():
@@ -245,7 +238,7 @@ def test_brute_counts_upto_rejects_negative_depth():
 @pytest.mark.parametrize("method", ["tree", "spf", "brute"])
 def test_count_sequence_rejects_negative_depth(method):
     with pytest.raises(LocalZetaError, match="max-m/length must be nonnegative"):
-        count_sequence(parse_poly("x"), PAdicContext(3), -1, method=method)
+        solution_counts(parse_poly("x"), PAdicContext(3), -1, method=method)
 
 
 def test_keystream_rejects_negative_depth():
@@ -447,8 +440,8 @@ def test_lift_matches_tree_counts():
     def check(case):
         f, p, n = case
         ctx = PAdicContext(p)
-        tree = count_sequence(f, ctx, n, method="tree").counts
-        assert brute_counts_upto(f, ctx, n, cap=p**40) == list(tree)
+        tree = solution_counts(f, ctx, n, method="tree")
+        assert brute_counts_upto(f, ctx, n, cap=p**40) == tree
 
     check()
 
@@ -463,7 +456,7 @@ def test_lift_on_the_worst_tower_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts == list(count_sequence(f, ctx, 14).counts)
+    assert counts == solution_counts(f, ctx, 14)
     assert peak < 32 * 2**20
 
 
@@ -505,5 +498,5 @@ def test_lift_follows_only_unsettled_classes(monkeypatch):
     lifted.clear()
     f = FactoredPoly(F(1), tuple((F(r), 1) for r in (0, 1, 8, -8, 40)))
     counts = brute_counts_upto(f, PAdicContext(2), 30, cap=2**30)
-    assert counts == list(count_sequence(f, PAdicContext(2), 30).counts)
+    assert counts == solution_counts(f, PAdicContext(2), 30)
     assert max(lifted) <= 2 * 5

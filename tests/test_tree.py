@@ -208,6 +208,22 @@ def test_json_round_trip():
     assert tree_from_json(doc) == tree
 
 
+def test_json_round_trip_of_random_trees():
+    # the residue checks accept every tree build_tree makes, towers included
+    rng = random.Random(37)
+    for _ in range(60):
+        p = rng.choice([2, 3, 5, 101])
+        ctx = PAdicContext(p)
+        f = random_factored(rng)
+        if any(r.denominator % p == 0 for r, _ in f.roots):
+            continue
+        tower = f.roots[0][0] + p ** rng.randint(1, 12)
+        if tower not in dict(f.roots):
+            f = FactoredPoly(F(1), f.roots + ((tower, 1),))
+        tree = build_tree(f, ctx, compute_lf(f, ctx))
+        assert tree_from_json(json.dumps(tree_to_json(tree))) == tree
+
+
 def test_json_reader_rejects_an_empty_vertex_list():
     doc = {**tree_to_json(worked_tree()), "vertices": []}
     with pytest.raises(MalformedDocument, match="tree_from_json"):
@@ -237,6 +253,11 @@ def edited_worked_json(edit):
     (lambda vs, doc: vs[4].update(parent=1), "vertex 4 is at level 3"),
     (lambda vs, doc: vs[3].update(weight=4, stalk_weight=7), "vertex 3 has weight 4 above"),
     (lambda vs, doc: vs[5].update(stalk_weight=6), "vertex 5 has stalk weight 6"),
+    (lambda vs, doc: vs[1].update(residue="99"), r"vertex 1 has residue 99, not in \[0, 3\^1\)"),
+    (lambda vs, doc: vs[2].update(residue="-5"), r"vertex 2 has residue -5, not in \[0, 3\^2\)"),
+    (lambda vs, doc: vs[3].update(residue="2"),
+     r"vertex 3 has residue 2, not its parent's 1 mod 3\^1"),
+    (lambda vs, doc: vs[3].update(residue="1"), "vertex 3 has the residue 1 of its sibling 2"),
 ])
 def test_json_reader_rejects_a_broken_tree(edit, message):
     with pytest.raises(MalformedDocument, match="tree_from_json: " + message):
