@@ -27,8 +27,11 @@ from .errors import LocalZetaError, NonIntegralCount
 from .lfsr import Lfsr, keystream, lfsr_run, period_of
 from .padic import PAdicContext
 from .polynomials import (
+    DensePoly,
+    FactoredPoly,
     as_integer_poly,
     compute_lf,
+    find_rational_roots,
     parse_poly,
     reduce_to_integral_roots,
 )
@@ -52,6 +55,11 @@ def _brute_cap(flag: int | None) -> int:
         raise LocalZetaError(
             f"{ENV_BRUTE_CAP} must be an integer, got {value!r}"
         ) from None
+
+
+def _factored(f: DensePoly | FactoredPoly) -> FactoredPoly:
+    """f with its rational roots found, for the commands that run both evaluators."""
+    return find_rational_roots(f) if isinstance(f, DensePoly) else f
 
 
 def _cmd_zeta(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
@@ -96,9 +104,12 @@ def _cmd_count(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
             }
             return 0, json.dumps(doc, indent=2)
         return 0, "\n".join(f"N_{m} = {decimal(v)}" for m, v in enumerate(shown))
+    dense = as_integer_poly(f)  # IntegralityError comes before the factorisation
+    factored = _factored(f)
     columns = {}
     for method in ("tree", "spf", "brute"):
-        columns[method] = solution_counts(f, ctx, args.max_m, method, cap=args.brute_cap)
+        g = dense if method == "brute" else factored
+        columns[method] = solution_counts(g, ctx, args.max_m, method, cap=args.brute_cap)
     agree = columns["tree"] == columns["spf"] == columns["brute"]
     if args.format == "json":
         doc = {
@@ -159,8 +170,9 @@ def _cmd_verify(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
     f = parse_poly(args.poly)
     checks: list[tuple[str, bool, str]] = []
 
-    z_tree = compute_zeta(f, ctx, method="tree")
-    z_spf = compute_zeta(f, ctx, method="spf")
+    factored = _factored(f)
+    z_tree = compute_zeta(factored, ctx, method="tree")
+    z_spf = compute_zeta(factored, ctx, method="spf")
     rf_tree = normalize(z_tree)
     rf_spf = normalize(z_spf)
     checks.append(("tree and residue-recursion methods agree",

@@ -15,10 +15,12 @@ below, all checked by the same integer test (``check_counts``).  The
 counts are the only count type: c_m = (p*N_m - N_(m+1)) / p**(m+1) is
 formed only where the ``count`` command prints it.  ``coeff_stream``
 and ``counts_from_coeffs`` keep the rational-arithmetic reference.  The
-brute-force oracle counts the solutions of f = 0 mod p**m directly, by
-lifting the solutions mod p**m to those mod p**(m+1) one digit at a
-time, and counts a residue class outright once the Taylor coefficients
-of f fix v_p(f) on it.
+brute-force oracle counts the solutions of f = 0 mod p**m directly: it
+finds the roots mod p by one array sweep over the p residues, lifts the
+solutions mod p**m to those mod p**(m+1) by a Hensel step on Python ints
+(the lifts of x0 solve f(x0)/p**m + f'(x0)*k = 0 mod p), and counts a
+residue class outright once the Taylor coefficients of f fix v_p(f) on
+it.  Its memory is bounded by the cap on p**n.
 """
 
 from __future__ import annotations
@@ -189,13 +191,20 @@ def brute_counts_upto(
     (k = 0..p-1) of the N_m solutions x0 at level m.  Before a level is
     lifted, _settle counts outright every class x0 + p**m Z on which
     v_p(f) is already fixed, so only the classes near a root are lifted
-    further.  Each level evaluates f on the remaining lifts mod
-    q = p**(m+1), by Horner's rule on whole arrays, and keeps the zeros;
-    the last level only counts them.  Residues are int64 while
-    p**n <= _VECTOR_LIMIT and Python ints above.  At most _BLOCK lifts
-    are formed at a time, and there are at most
-    p*(N_0 + ... + N_(n-1)) <= 2*p**n of them, so the cap on p**n bounds
-    both time and memory.  The oracle never sees the factorisation or Z.
+    further.  Level 0 evaluates f at the p residues mod p by Horner's rule
+    on whole arrays (int64 while p < _VECTOR_LIMIT, Python ints above), at
+    most _BLOCK at a time.  Every level m >= 1 takes a Hensel step on
+    Python ints: p**m divides a_0 = f(x0), and with a_1 = f'(x0),
+    f(x0 + k*p**m) = a_0 + a_1*k*p**m mod p**(m+1), so the lifts are the k
+    with a_0/p**m + a_1*k = 0 mod p: one k when p does not divide a_1, all
+    p when p divides a_1 and a_0/p**m, and none otherwise (_settle has
+    counted such a class outright, so it never reaches the step).  The
+    survivors at level m + 1 number at most p times the live classes at
+    level m, and they are solutions, so at most N_(m+1) <= p**n <= cap: the
+    cap bounds both time and memory.  At level 0 a polynomial that is 0 mod
+    p leaves the class Z live only when n >= 2, so p <= sqrt(cap) whenever
+    the sweep keeps more than deg f residues.  The oracle never sees the
+    factorisation or Z.
     """
     if n < 0:
         raise LocalZetaError("max-m/length must be nonnegative")
@@ -214,36 +223,46 @@ def brute_counts_upto(
                 except ValueError:  # p**n is past the int-to-str digit limit
                     pass
             raise CapExceeded(f"{size} exceeds the cap {cap}")
-    dtype = np.int64 if power <= _VECTOR_LIMIT else object
     counts = [1] + [0] * n
-    survivors = np.zeros(1, dtype=dtype)  # the single class mod p**0
+    survivors = [0]  # the single class mod p**0
     for m in range(n):
-        survivors = _settle(survivors, coeffs, p, m, n, counts)
-        if not len(survivors):
+        live = _settle(survivors, coeffs, p, m, n, counts)
+        if not live:
             break
-        q, place = p ** (m + 1), p**m
-        cs = [c % q for c in coeffs]
-        kept = []
-        lifts = len(survivors) * p
-        for start in range(0, lifts, _BLOCK):
-            idx = np.arange(start, min(start + _BLOCK, lifts))
-            xs = survivors[idx // p] + (idx % p).astype(dtype, copy=False) * place
-            acc = np.full_like(xs, cs[-1])
-            for c in reversed(cs[:-1]):
-                acc *= xs
-                acc += c
-                acc %= q
-            zero = acc == 0
-            counts[m + 1] += int(np.count_nonzero(zero))
-            if m + 1 < n:
-                kept.append(xs[zero])
-        survivors = np.concatenate(kept) if kept else survivors[:0]
+        if m == 0:
+            survivors = _roots_mod_p(coeffs, p)
+        else:
+            place = p**m
+            survivors = []
+            for x0, a0, a1 in live:
+                if a1 % p:
+                    k = -(a0 // place) * pow(a1, -1, p) % p
+                    survivors.append(x0 + k * place)
+                else:  # _settle has counted the class unless p**(m+1) divides a_0 too
+                    survivors.extend(range(x0, x0 + p * place, place))
+        counts[m + 1] += len(survivors)
     return counts
 
 
+def _roots_mod_p(coeffs: list[int], p: int) -> list[int]:
+    """The roots of f mod p, by Horner's rule on arrays of at most _BLOCK residues."""
+    dtype = np.int64 if p < _VECTOR_LIMIT else object
+    cs = [c % p for c in coeffs]
+    roots: list[int] = []
+    for start in range(0, p, _BLOCK):
+        xs = np.arange(start, min(start + _BLOCK, p)).astype(dtype, copy=False)
+        acc = np.full_like(xs, cs[-1])
+        for c in reversed(cs[:-1]):
+            acc *= xs
+            acc += c
+            acc %= p
+        roots.extend(xs[acc == 0].tolist())
+    return roots
+
+
 def _settle(
-    survivors: np.ndarray, coeffs: list[int], p: int, m: int, n: int, counts: list[int]
-) -> np.ndarray:
+    survivors: list[int], coeffs: list[int], p: int, m: int, n: int, counts: list[int]
+) -> list[tuple[int, int, int]]:
     """Count the classes x0 + p**m Z whose solutions are known; return the rest.
 
     On such a class f(x0 + p**m t) = sum_k a_k p**(m*k) t**k, with a_k the
@@ -251,37 +270,54 @@ def _settle(
     v_p(a_k) + m*k (k >= 1), then v_p(f) = w on the whole class; if every
     a_k p**(m*k) is 0 mod p**n, then v_p(f) >= n = w on it.  Either way
     the class holds p**(j-m) solutions mod p**j for m < j <= w and none
-    beyond, which go straight into counts[j].  The a_k are formed mod p**n
-    by repeated synthetic division, one pass per k, and only while some
-    class still in the running has m*k below its w + 1.
+    beyond, which go straight into counts[j].  a_0 = f(x0) and
+    a_1 = f'(x0) come from one Horner pass; the a_k with k >= 2 matter only
+    while m*k is below w + 1 (see _later_terms_pass).  A class still in
+    the running comes back as (x0, a_0, a_1).
     """
-    top = p**n
-    powers = np.array([p**j for j in range(n + 1)], dtype=survivors.dtype)
+    powers = [p**j for j in range(n + 1)]
+    tally = [0] * (n + 1)
     live = []
-    step = max(1, _BLOCK // len(coeffs))
-    for start in range(0, len(survivors), step):
-        x0 = survivors[start:start + step]
-        a = [c % top for c in coeffs[:-1]] + [np.full_like(x0, coeffs[-1] % top)]
-        settled = np.ones(len(x0), dtype=bool)
-        for k in range(len(a)):
-            for i in range(len(a) - 2, k - 1, -1):
-                a[i] = a[i] + a[i + 1] * x0
-                a[i] %= top
-            if k == 0:
-                w = np.searchsorted(powers, np.gcd(a[0], top))  # min(v_p(f(x0)), n)
-                reach = np.minimum(w + 1, n)  # what each v_p(a_k) + m*k must reach
-            else:
-                settled &= a[k] % powers[np.maximum(reach - m * k, 0)] == 0
-            if not (settled & (reach > m * (k + 1))).any():
-                break  # every later a_k passes wherever it is still tested
-        if settled.any():
-            tally = np.bincount(w[settled], minlength=n + 1)
-            at_least = 0
-            for j in range(n, m, -1):
-                at_least += int(tally[j])
-                counts[j] += at_least * p ** (j - m)
-        live.append(x0[~settled])
-    return np.concatenate(live) if live else survivors
+    backwards = coeffs[::-1]
+    for x0 in survivors:
+        a0 = a1 = 0
+        for c in backwards:
+            a1 = a1 * x0 + a0
+            a0 = a0 * x0 + c
+        w = m  # x0 is a solution mod p**m
+        while w < n and a0 % powers[w + 1] == 0:
+            w += 1
+        reach = min(w + 1, n)  # what each v_p(a_k) + m*k must reach
+        if a1 % powers[reach - m] == 0 and (
+            reach <= 2 * m or _later_terms_pass(coeffs, x0, m, reach, powers)
+        ):
+            tally[w] += 1
+        else:
+            live.append((x0, a0, a1))
+    at_least = 0
+    for j in range(n, m, -1):
+        at_least += tally[j]
+        counts[j] += at_least * p ** (j - m)
+    return live
+
+
+def _later_terms_pass(
+    coeffs: list[int], x0: int, m: int, reach: int, powers: list[int]
+) -> bool:
+    """True when v_p(a_k) + m*k >= reach for every Taylor coefficient with k >= 2.
+
+    The a_k come from repeated synthetic division, one pass per k, and
+    stop once m*k reaches `reach`: every later a_k passes.
+    """
+    a = list(coeffs)
+    for k in range(len(a)):
+        if reach <= m * k:
+            return True
+        for i in range(len(a) - 2, k - 1, -1):
+            a[i] += a[i + 1] * x0
+        if k >= 2 and a[k] % powers[reach - m * k]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -20,37 +20,43 @@ from .errors import InvariantViolation, PoleAtPoint
 Coeffs = Sequence[Fraction | int]
 
 
-def poly_trim(coeffs: Coeffs) -> list[Fraction]:
-    out = [Fraction(c) for c in coeffs]
+def _trimmed(out: list) -> list:
+    """out without its trailing zeros, keeping at least one coefficient."""
     while len(out) > 1 and out[-1] == 0:
         out.pop()
-    return out or [Fraction(0)]
+    return out
+
+
+def poly_trim(coeffs: Coeffs) -> list[Fraction]:
+    return _trimmed([Fraction(c) for c in coeffs] or [Fraction(0)])
 
 
 def poly_is_zero(coeffs: Coeffs) -> bool:
     return all(c == 0 for c in coeffs)
 
 
-def poly_add(a: Coeffs, b: Coeffs) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
+def poly_add(a: Coeffs, b: Coeffs) -> list:
+    """a + b, with coefficients of the inputs' type: ints in, ints out."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    return poly_trim(out)
+    return _trimmed(out or [0])
 
 
-def poly_mul(a: Coeffs, b: Coeffs) -> list[Fraction]:
+def poly_mul(a: Coeffs, b: Coeffs) -> list:
+    """a * b, with coefficients of the inputs' type: ints in, ints out."""
+    zero = 0 * a[0] * b[0] if a and b else 0
     if poly_is_zero(a) or poly_is_zero(b):
-        return [Fraction(0)]
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+        return [zero]
+    out = [zero] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
             continue
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
-    return poly_trim(out)
+    return _trimmed(out)
 
 
 def poly_eval(a: Coeffs, x: Fraction | int) -> Fraction:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,33 @@ def test_domain_errors_exit_one(capsys):
         "--method", "brute",
     )
     assert status == 1 and "CapExceeded" in err
+
+
+@pytest.mark.parametrize("command, error", [
+    # count checks integrality before it factors f once for both evaluators
+    ("count", "IntegralityError: polynomial does not have integer coefficients"),
+    # verify factors first: its identity checks need no integer coefficients
+    ("verify", "SplittingFieldNotQ: a degree-2 factor has no rational roots"),
+])
+def test_crosscheck_commands_name_the_first_failing_stage(capsys, command, error):
+    argv = [command, "--poly", "1/2*x^2 + 1/2", "--prime", "3", "--max-m", "3"]
+    if command == "count":
+        argv += ["--method", "all"]
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out, err) == (1, "", f"error: {error}\n")
+
+
+def test_brute_sweeps_a_large_prime_in_arrays(capsys):
+    # level 0 evaluates f at all 1000003 residues mod p; a loop over them
+    # in Python would take about a second
+    start = time.perf_counter()
+    status, out, _ = run_cli(
+        capsys, "count", "--poly", "x^3 - 2", "--prime", "1000003", "--max-m", "1",
+        "--method", "brute",
+    )
+    elapsed = time.perf_counter() - start
+    assert (status, out) == (0, "N_0 = 1\nN_1 = 0\n")  # 2 is not a cube mod 1000003
+    assert elapsed < 0.5, elapsed
 
 
 def test_brute_cap_env_var(capsys, monkeypatch):

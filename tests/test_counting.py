@@ -3,7 +3,6 @@ import random
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -363,14 +362,27 @@ def poly_mul_int(a, b):
     return out
 
 
-def sweep_counts(coeffs, p, n):
-    """N_0..N_n by the definition, #{x mod p**m : p**m | f(x)}."""
-    def value(x):
-        return sum(c * x**i for i, c in enumerate(coeffs))
+def residue_sweep(coeffs, p, n):
+    """N_0..N_n from one pass over the residues mod p**n.
 
-    return [
-        sum(1 for x in range(p**m) if value(x) % p**m == 0) for m in range(n + 1)
-    ]
+    f(x) mod p**m depends only on x mod p**m, so each solution mod p**m
+    has p**(n-m) representatives below p**n.
+    """
+    top = p**n
+    hits = [0] * (n + 1)
+    for x in range(top):
+        value = 0
+        for c in reversed(coeffs):
+            value = (value * x + c) % top
+        v = 0
+        while v < n and value % p ** (v + 1) == 0:
+            v += 1
+        hits[v] += 1
+    counts, at_least = [], 0
+    for m in range(n, -1, -1):
+        at_least += hits[m]
+        counts.append(at_least // p ** (n - m))
+    return counts[::-1]
 
 
 @st.composite
@@ -406,9 +418,77 @@ def test_lift_matches_definition():
         f = DensePoly(tuple(F(c) for c in coeffs))
         assert 1 <= f.degree <= 6
         counts = brute_counts_upto(f, PAdicContext(p), n)
-        assert counts == sweep_counts(coeffs, p, n)
+        assert counts == residue_sweep(coeffs, p, n)
         reached["content"] += content > 0 and n > content
         reached["deep"] += n >= 2 and 1 < counts[-1] < p**n
+
+    check()
+    assert all(reached.values()), reached
+
+
+def has_rational_root(coeffs):
+    """The rational root test on a factor with small coefficients."""
+    if coeffs[0] == 0:
+        return True
+
+    def divisors(c):
+        return [d for d in range(1, abs(c) + 1) if c % d == 0]
+
+    return any(
+        sum(c * F(sign * a, b) ** i for i, c in enumerate(coeffs)) == 0
+        for a in divisors(coeffs[0]) for b in divisors(coeffs[-1]) for sign in (1, -1)
+    )
+
+
+@st.composite
+def oracle_cases(draw):
+    """(p, coefficients, n, labels): products of random factors, p**n <= 2**14.
+
+    Each factor has degree 1-3, small random coefficients and multiplicity
+    1-3, so f may have no rational root, squared factors, and a content
+    p**k; none of these needs f to split over Q.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    coeffs, labels = [1], set()
+    rooted = False
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 3))
+        factor = draw(st.lists(st.integers(-20, 20), min_size=degree, max_size=degree))
+        factor.append(draw(st.integers(-6, 6).filter(bool)))
+        mult = draw(st.integers(1, 3))
+        if len(coeffs) - 1 + degree * mult > 8:
+            continue
+        for _ in range(mult):
+            coeffs = poly_mul_int(coeffs, factor)
+        rooted |= has_rational_root(factor)
+        if mult > 1:
+            labels.add("squared factor")
+    content = draw(st.sampled_from([0, 0, 0, 1, 2, 3]))
+    coeffs = [c * p**content for c in coeffs]
+    n = draw(st.integers(0, max(n for n in range(15) if p**n <= 2**14)))
+    if not rooted and len(coeffs) > 1:
+        labels.add("no rational root")
+    if content and n > content:
+        labels.add("content")
+    if p**n > 4096:
+        labels.add("past 4096 residues")
+    return p, coeffs, n, labels
+
+
+def test_lift_matches_a_residue_sweep_without_rational_roots():
+    # the tree and spf routes need f to split over Q; the oracle does not
+    reached = dict.fromkeys(
+        ["no rational root", "squared factor", "content", "past 4096 residues"], 0
+    )
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(oracle_cases())
+    def check(case):
+        p, coeffs, n, labels = case
+        f = DensePoly(tuple(F(c) for c in coeffs))
+        assert brute_counts_upto(f, PAdicContext(p), n) == residue_sweep(coeffs, p, n)
+        for label in labels:
+            reached[label] += 1
 
     check()
     assert all(reached.values()), reached
@@ -467,9 +547,31 @@ def test_settle_counts_a_class_of_constant_valuation():
     # v_2(f) = 3, so that class holds 2 solutions mod 8 and none mod 16;
     # on 4Z the valuation is not constant, so 0 is lifted further.
     counts = [1, 1, 2] + [0] * 8
-    live = counting._settle(np.array([0, 2]), [0, 0, 0, 1], 2, 2, 10, counts)
-    assert list(live) == [0]
+    live = counting._settle([0, 2], [0, 0, 0, 1], 2, 2, 10, counts)
+    assert [x0 for x0, _, _ in live] == [0]
     assert counts == [1, 1, 2, 2] + [0] * 7
+
+
+def test_hensel_step_lifts_solutions_to_solutions(monkeypatch):
+    import localzeta.counting as counting
+
+    seen = []
+    settle = counting._settle
+
+    def spy(survivors, coeffs, p, m, n, counts):
+        seen.append((list(survivors), coeffs, p, m))
+        return settle(survivors, coeffs, p, m, n, counts)
+
+    monkeypatch.setattr(counting, "_settle", spy)
+    for text, p, n in [("x^2 + 1", 5, 8), ("x^3 - 2", 5, 6), ("(x-3)^2*(x+4)*(x-10)", 7, 6),
+                       ("x^2 - 17", 2, 12), ("49*x^2 - 98", 7, 5)]:
+        f = parse_poly(text)
+        brute_counts_upto(f, PAdicContext(p), n)
+        for survivors, coeffs, q, m in seen:
+            for x0 in survivors:
+                assert sum(c * x0**i for i, c in enumerate(coeffs)) % q**m == 0, (text, m, x0)
+        assert any(m >= 2 and survivors for survivors, *_, m in seen), text
+        seen.clear()
 
 
 def test_lift_follows_only_unsettled_classes(monkeypatch):
