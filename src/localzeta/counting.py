@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import CapExceeded, LocalZetaError, NegativeShift, NonIntegralCount
 from .padic import PAdicContext
-from .polynomials import DensePoly, FactoredPoly, as_integer_poly
+from .polynomials import DensePoly, FactoredPoly, as_integer_poly, require_integral
 from .ratfunc import RationalFunctionT
 from .zeta import ZetaFunction, compute_zeta, poincare
 
@@ -65,28 +65,19 @@ def tree_counts(z: ZetaFunction, n: int) -> list[int]:
     den_pow b into P_b (indexed by exponent, the shift included), and the
     share of bucket b in S_m obeys U_b(m) = p**(m+1)*P_b[m] +
     p**(b-1)*U_b(m-b) (the second summand only for b >= 1).  The sums run
-    at the common scale p**E, E the largest p-exponent of a coefficient
-    denominator, and each S_m is divided by p**E exactly at the end; a
-    remainder, or a denominator that is not a power of p, raises
-    NonIntegralCount.
+    at the terms' common scale p**E, E the largest j of a coefficient
+    c/p**j (``ZetaFunction.scaled_coeffs``), and each S_m is divided by
+    p**E exactly at the end; a remainder raises NonIntegralCount.
     """
     if z.shift < 0:
         raise NegativeShift(f"shift {z.shift} < 0: not a power series in t")
     p = z.ctx.p
-    denominator = max((t.coeff.denominator for t in z.terms), default=1)
-    scale = 1
-    while scale < denominator:
-        scale *= p
+    scale, cs = z.scaled_coeffs()
     buckets: dict[int, list[int]] = {}
-    for term in z.terms:
-        if scale % term.coeff.denominator:
-            raise NonIntegralCount(
-                f"term coefficient {term.coeff} has a denominator that is not a power of {p}"
-            )
+    for term, c in zip(z.terms, cs):
         start = term.t_pow + z.shift
         if start < n:
-            bucket = buckets.setdefault(term.den_pow, [0] * n)
-            bucket[start] += term.coeff.numerator * (scale // term.coeff.denominator)
+            buckets.setdefault(term.den_pow, [0] * n)[start] += c
     total = [0] * n  # p**E * S_m
     for b, share in buckets.items():  # P_b becomes p**E * U_b in place
         power, step = 1, p ** (b - 1) if b else 0
@@ -139,14 +130,15 @@ def coeff_stream(z: ZetaFunction, max_m: int) -> list[Fraction]:
     p = z.ctx.p
     out = [Fraction(0)] * (max_m + 1)
     for term in z.terms:
+        coeff = Fraction(term.c, p**term.j)
         start = term.t_pow + z.shift
         if term.den_pow == 0:
             if start <= max_m:
-                out[start] += term.coeff
+                out[start] += coeff
             continue
         y = 0
         while start + y * term.den_pow <= max_m:
-            out[start + y * term.den_pow] += term.coeff / p**y
+            out[start + y * term.den_pow] += coeff / p**y
             y += 1
     return out
 
@@ -342,9 +334,9 @@ def solution_counts(
     """
     if u < 0:
         raise LocalZetaError("max-m/length must be nonnegative")
-    dense = as_integer_poly(f)
+    require_integral(f)
     if method == "brute":
-        counts = brute_counts_upto(dense, ctx, u, cap=cap)
+        counts = brute_counts_upto(f, ctx, u, cap=cap)
     elif method == "tree":
         counts = tree_counts(compute_zeta(f, ctx, method="tree"), u)
     elif method == "spf":

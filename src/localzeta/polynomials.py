@@ -118,6 +118,11 @@ class FactoredPoly:
         unit = self.unit / scale
         return DensePoly(tuple(unit * c for c in coeffs))
 
+    def is_integral(self) -> bool:
+        """Whether expand() is in Z[x]: by Gauss's lemma, iff unit / prod b**e is an integer."""
+        scale = math.prod(root.denominator**mult for root, mult in self.roots)
+        return self.unit.numerator % (self.unit.denominator * scale) == 0
+
     def __call__(self, x: Fraction | int) -> Fraction:
         value = self.unit
         for root, mult in self.roots:
@@ -133,15 +138,16 @@ class ReducedInput:
     fplus: FactoredPoly
 
 
-def as_integer_poly(f: DensePoly | FactoredPoly) -> DensePoly:
-    """Dense integer-coefficient form of f, or IntegralityError.
-
-    Solution counts modulo p**m are defined only for integer coefficients.
-    """
-    dense = f.expand() if isinstance(f, FactoredPoly) else f
-    if not dense.is_integral():
+def require_integral(f: DensePoly | FactoredPoly) -> None:
+    """IntegralityError unless f is in Z[x]: counts mod p**m need integer coefficients."""
+    if not f.is_integral():
         raise IntegralityError("polynomial does not have integer coefficients")
-    return dense
+
+
+def as_integer_poly(f: DensePoly | FactoredPoly) -> DensePoly:
+    """Dense integer-coefficient form of f, or IntegralityError (tested before expanding)."""
+    require_integral(f)
+    return f.expand() if isinstance(f, FactoredPoly) else f
 
 
 # ---------------------------------------------------------------------------

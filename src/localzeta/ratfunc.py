@@ -59,8 +59,9 @@ def poly_mul(a: Coeffs, b: Coeffs) -> list:
     return _trimmed(out)
 
 
-def poly_eval(a: Coeffs, x: Fraction | int) -> Fraction:
-    acc = Fraction(0)
+def poly_eval(a: Coeffs, x: Fraction | int) -> Fraction | int:
+    """a(x) by Horner's rule, an int for integer coefficients at an integer x."""
+    acc = 0
     for c in reversed(list(a)):
         acc = acc * x + c
     return acc
@@ -197,7 +198,7 @@ def rf_eval(r: RationalFunctionT, t0: Fraction | int) -> Fraction:
     den = poly_eval(r.denominator, t0)
     if den == 0:
         raise PoleAtPoint(f"pole at t = {t0}")
-    return poly_eval(r.numerator, t0) / den
+    return Fraction(poly_eval(r.numerator, t0), den)
 
 
 def rf_add(r1: RationalFunctionT, r2: RationalFunctionT) -> RationalFunctionT:

@@ -11,13 +11,14 @@ Two independent evaluators are kept deliberately as mutual oracles:
   sub-problem on the residues x // p per multiple root), closing
   single-root integrals in closed form.
 
-Both form their terms as integers (c, j, t_pow, den_pow), meaning
-c / p**j, and share only the conversion to ``ZetaTerm``.  The result is a
-``ZetaFunction``: a t-power shift plus a list of terms
-``coeff * t**a / (1 - t**b / p)`` (``b = 0`` meaning no denominator) in
-the variable t = p**(-s).  ``normalize`` combines the terms into a single
-canonical rational function, and ``poincare`` derives the generating
-series of the normalized solution counts from it.
+Both emit ``ZetaTerm``s (c, j, t_pow, den_pow), meaning
+``c/p**j * t**t_pow / (1 - t**den_pow / p)`` in t = p**(-s) (no
+denominator when den_pow = 0).  Every coefficient denominator is thus a
+power of p, the consumers share the one scale p**max(j), and a
+``Fraction`` is formed only to print or read a coefficient.  The result is
+a ``ZetaFunction``, a t-power shift plus the terms.  ``normalize`` combines
+them into a single canonical rational function, and ``poincare`` derives
+the generating series of the normalized solution counts from it.
 
 ``normalize`` and ``poincare`` work in integers only.  With
 1 - t**b/p = (p - t**b)/p, the term sum is
@@ -35,10 +36,11 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate, starmap, zip_longest
+from typing import NamedTuple
 
 from .errors import InvariantViolation, MalformedDocument, RecursionDepthExceeded
-from .padic import PAdicContext, residue
+from .padic import PAdicContext, residue, vp
 from .polynomials import (
     DensePoly,
     FactoredPoly,
@@ -53,11 +55,11 @@ from .tree import WeightedTree, build_tree
 Roots = tuple[tuple[Fraction, int], ...]
 
 
-@dataclass(frozen=True)
-class ZetaTerm:
-    """coeff * t**t_pow, divided by (1 - t**den_pow / p) when den_pow > 0."""
+class ZetaTerm(NamedTuple):
+    """c/p**j * t**t_pow / (1 - t**den_pow / p), kept in lowest terms (p ∤ c if j > 0)."""
 
-    coeff: Fraction
+    c: int
+    j: int
     t_pow: int
     den_pow: int
 
@@ -68,16 +70,17 @@ class ZetaFunction:
     shift: int
     terms: tuple[ZetaTerm, ...]
 
-    def sorted_terms(self) -> tuple[ZetaTerm, ...]:
-        """Terms ordered for multiset comparison: by t_pow, den_pow, coeff.
+    def scaled_coeffs(self) -> tuple[int, list[int]]:
+        """(p**J, [c * p**(J - j) per term]), J the largest j: one common scale."""
+        p, top = self.ctx.p, max((t.j for t in self.terms), default=0)
+        shifts = {j: p ** (top - j) for j in {t.j for t in self.terms}}
+        return p**top, [t.c * shifts[t.j] for t in self.terms]
 
-        The coefficients are compared as integers over their common
-        denominator, which is the same order as comparing them as Fractions.
-        """
-        scale = math.lcm(*(t.coeff.denominator for t in self.terms))
-        return tuple(sorted(self.terms, key=lambda t: (
-            t.t_pow, t.den_pow, t.coeff.numerator * (scale // t.coeff.denominator)
-        )))
+    def sorted_terms(self) -> tuple[ZetaTerm, ...]:
+        """Terms by t_pow, den_pow, then coefficient (as integers at their common scale)."""
+        _, cs = self.scaled_coeffs()
+        keyed = sorted(zip(self.terms, cs), key=lambda tc: (tc[0].t_pow, tc[0].den_pow, tc[1]))
+        return tuple(t for t, _ in keyed)
 
 
 # ---------------------------------------------------------------------------
@@ -110,24 +113,13 @@ def generating_function(tree: WeightedTree, shift: int = 0) -> ZetaFunction:
     for v in vertices:
         if v.weight == 1:
             if v.parent is None or vertices[v.parent].weight != 1:
-                terms.append((p - 1, v.level + 1, v.stalk_weight, 1))
+                terms.append(ZetaTerm(p - 1, v.level + 1, v.stalk_weight, 1))
         elif v.level == top:
-            terms.append((p - 1, v.level + 1, v.stalk_weight, v.weight))
-        elif v.valence != p:
-            terms.append((p - v.valence, v.level + 1, v.stalk_weight, 0))
-    return ZetaFunction(ctx=tree.ctx, shift=shift, terms=_zeta_terms(terms, p))
-
-
-def _zeta_terms(
-    terms: list[tuple[int, int, int, int]], p: int
-) -> tuple[ZetaTerm, ...]:
-    """ZetaTerms of integer terms (c, j, t_pow, den_pow), coefficient c / p**j.
-
-    A term list reuses a few coefficients many times, so each distinct
-    (c, j) becomes a Fraction once.
-    """
-    coeffs = {cj: Fraction(cj[0], p ** cj[1]) for cj in {(c, j) for c, j, _, _ in terms}}
-    return tuple(ZetaTerm(coeffs[c, j], a, b) for c, j, a, b in terms)
+            terms.append(ZetaTerm(p - 1, v.level + 1, v.stalk_weight, v.weight))
+        elif v.valence != p:  # Val = 0 only at the root of no roots, where p/p is 1
+            c, j = (p - v.valence, v.level + 1) if v.valence else (1, v.level)
+            terms.append(ZetaTerm(c, j, v.stalk_weight, 0))
+    return ZetaFunction(ctx=tree.ctx, shift=shift, terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +144,13 @@ def spf_eval(roots: Roots, ctx: PAdicContext) -> ZetaFunction:
     k = _separation_depth(roots, ctx)
     xs = tuple((residue(r, ctx, k), e) for r, e in roots)
     terms = _spf_terms(xs, ctx.p, depth=0, limit=k + 1)
-    return ZetaFunction(ctx=ctx, shift=0, terms=_zeta_terms(terms, ctx.p))
+    return ZetaFunction(ctx=ctx, shift=0, terms=tuple(starmap(ZetaTerm, terms)))
 
 
 def _spf_terms(
     xs: tuple[tuple[int, int], ...], p: int, depth: int, limit: int
 ) -> list[tuple[int, int, int, int]]:
-    """Terms (c, j, t_pow, den_pow), coefficient c / p**j, of integer residues."""
+    """Terms (c, j, t_pow, den_pow) in lowest terms, plain tuples as each level rebuilds them."""
     if depth > limit:
         raise RecursionDepthExceeded(
             f"recursion reached depth {depth} with depth bound {limit - 1}"
@@ -181,7 +173,8 @@ def _spf_terms(
     nu = p - len(buckets)
     terms = [(nu, 1, 0, 0)] if nu else []
     if delta:
-        terms.append((delta * (p - 1), 2, 1, 1))
+        c, j = (p - 1, 1) if delta == p else (delta * (p - 1), 2)  # lowest terms
+        terms.append((c, j, 1, 1))
     for e_xi, members in groups:
         sub = _spf_terms(members, p, depth + 1, limit)
         terms.extend((c, j + 1, a + e_xi, b) for c, j, a, b in sub)
@@ -235,19 +228,18 @@ def _div_binomial(a: list[int], p: int, b: int) -> list[int] | None:
 def _combined(z: ZetaFunction) -> tuple[list[int], int, int, list[int]]:
     """Z = num / (scale * t**k * prod_b (p - t**b)), all in integers.
 
-    Each coefficient is scaled by the lcm of their denominators, each
+    The coefficients are brought to their common scale p**max(j), each
     factor 1 - t**b/p is written (p - t**b)/p, and the terms are summed
     per den_pow before the bucket is multiplied by the other factors.
     """
     p = z.ctx.p
     bs = sorted({t.den_pow for t in z.terms if t.den_pow})
-    scale = math.lcm(*(t.coeff.denominator for t in z.terms))
+    scale, cs = z.scaled_coeffs()
     buckets: dict[int, list[int]] = {b: [] for b in [0, *bs]}
-    for term in z.terms:
+    for term, c in zip(z.terms, cs):
         bucket = buckets[term.den_pow]
         if len(bucket) <= term.t_pow:
             bucket.extend([0] * (term.t_pow + 1 - len(bucket)))
-        c = term.coeff.numerator * (scale // term.coeff.denominator)
         bucket[term.t_pow] += c * p if term.den_pow else c
     num: list[int] = []
     for b, part in buckets.items():
@@ -331,9 +323,14 @@ def poincare(z: ZetaFunction) -> RationalFunctionT:
 # ---------------------------------------------------------------------------
 
 
-def term_text(term: ZetaTerm, p: int) -> str:
-    """One term in the t = p**(-s) notation, e.g. '(2/27)*t^4 / (1 - t/3)'."""
-    c = term.coeff
+def _coeffs(z: ZetaFunction) -> dict[tuple[int, int], Fraction]:
+    """Each distinct coefficient c/p**j of z as a Fraction, formed once to print it."""
+    p = z.ctx.p
+    return {(c, j): Fraction(c, p**j) for c, j in {(t.c, t.j) for t in z.terms}}
+
+
+def term_text(term: ZetaTerm, c: Fraction, p: int) -> str:
+    """One term with coefficient c in t = p**(-s) notation, e.g. '(2/27)*t^4 / (1 - t/3)'."""
     if term.t_pow == 0:
         body = f"{c}"
     else:
@@ -350,8 +347,9 @@ def zeta_text(z: ZetaFunction) -> str:
     """Multi-line rendering: the term sum, then the normalized form."""
     p = z.ctx.p
     lines = [f"p = {p}, shift = {z.shift}", "terms:"]
+    coeffs = _coeffs(z)
     for term in z.sorted_terms():
-        lines.append(f"  {term_text(term, p)}")
+        lines.append(f"  {term_text(term, coeffs[term.c, term.j], p)}")
     rf = normalize(z)
     lines.append(f"Z = {rf_format(rf)}, t = {p}^(-s)")
     return "\n".join(lines)
@@ -360,11 +358,12 @@ def zeta_text(z: ZetaFunction) -> str:
 def zeta_to_json(z: ZetaFunction) -> dict:
     """JSON document with big integers rendered as decimal strings."""
     rf = normalize(z)
+    coeffs = _coeffs(z)
     return {
         "p": str(z.ctx.p),
         "shift": z.shift,
         "terms": [
-            {"coeff": str(t.coeff), "t_pow": t.t_pow, "den_pow": t.den_pow}
+            {"coeff": str(coeffs[t.c, t.j]), "t_pow": t.t_pow, "den_pow": t.den_pow}
             for t in z.terms
         ],
         "normalized": {
@@ -375,21 +374,22 @@ def zeta_to_json(z: ZetaFunction) -> dict:
 
 
 def zeta_from_json(doc: dict | str) -> ZetaFunction:
-    """Inverse of zeta_to_json (the derived `normalized` block is ignored)."""
+    """Inverse of zeta_to_json, ignoring `normalized`; each coeff n/d must have d = p**j."""
     try:
         if isinstance(doc, str):
             doc = json.loads(doc)
-        terms = tuple(
-            ZetaTerm(Fraction(t["coeff"]), int(t["t_pow"]), int(t["den_pow"]))
-            for t in doc["terms"]
-        )
+        raw = [(Fraction(t["coeff"]), int(t["t_pow"]), int(t["den_pow"])) for t in doc["terms"]]
         p, shift = int(doc["p"]), int(doc["shift"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedDocument(f"zeta_from_json: {exc!r}") from exc
-    for i, term in enumerate(terms):
-        if term.t_pow < 0 or term.den_pow < 0:
+    ctx = PAdicContext(p)
+    terms = []
+    for i, (coeff, a, b) in enumerate(raw):
+        j = vp(coeff.denominator, ctx)
+        if a < 0 or b < 0 or p**j != coeff.denominator:
             raise MalformedDocument(
-                f"zeta_from_json: term {i} has t_pow = {term.t_pow} and "
-                f"den_pow = {term.den_pow}; both must be >= 0"
+                f"zeta_from_json: term {i} has coeff = {coeff}, t_pow = {a} and den_pow = {b}; "
+                f"both exponents must be >= 0 and the denominator a power of {p}"
             )
-    return ZetaFunction(ctx=PAdicContext(p), shift=shift, terms=terms)
+        terms.append(ZetaTerm(coeff.numerator, j, a, b))
+    return ZetaFunction(ctx=ctx, shift=shift, terms=tuple(terms))

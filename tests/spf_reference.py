@@ -4,7 +4,8 @@
 residues.  This module keeps the same recursion on the rational roots
 themselves, one modular inverse per root and level, with the same term
 order: nu, then delta, then each multiple-root class in ascending xi,
-depth first.
+depth first.  The coefficients are Fractions until ``spf_terms`` returns
+them as ZetaTerms.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from localzeta import PAdicContext, ZetaTerm
 from localzeta.padic import residue
+from tree_reference import fraction_term
 
 Roots = tuple[tuple[Fraction, int], ...]
 
@@ -67,18 +69,23 @@ def dilate(roots: Roots, xi: int, ctx: PAdicContext) -> Roots:
 
 def spf_terms(roots: Roots, ctx: PAdicContext) -> list[ZetaTerm]:
     """The term list of the residue recursion on distinct integral roots."""
+    return [fraction_term(c, a, b, ctx.p) for c, a, b in _fraction_terms(roots, ctx)]
+
+
+def _fraction_terms(roots: Roots, ctx: PAdicContext) -> list[tuple[Fraction, int, int]]:
+    """The terms (coeff, t_pow, den_pow) of the recursion, coeff a Fraction."""
     p = ctx.p
     if not roots:
-        return [ZetaTerm(Fraction(1), 0, 0)]
+        return [(Fraction(1), 0, 0)]
     if len(roots) == 1:
-        return [ZetaTerm(Fraction(p - 1, p), 0, roots[0][1])]
+        return [(Fraction(p - 1, p), 0, roots[0][1])]
     cls = classify_residues(roots, ctx)
     terms = []
     if cls.nu:
-        terms.append(ZetaTerm(Fraction(cls.nu, p), 0, 0))
+        terms.append((Fraction(cls.nu, p), 0, 0))
     if cls.delta:
-        terms.append(ZetaTerm(Fraction(cls.delta * (p - 1), p * p), 1, 1))
+        terms.append((Fraction(cls.delta * (p - 1), p * p), 1, 1))
     for xi, e_xi, members in cls.groups:
-        sub = spf_terms(dilate(members, xi, ctx), ctx)
-        terms.extend(ZetaTerm(t.coeff / p, t.t_pow + e_xi, t.den_pow) for t in sub)
+        sub = _fraction_terms(dilate(members, xi, ctx), ctx)
+        terms.extend((c / p, a + e_xi, b) for c, a, b in sub)
     return terms

@@ -42,6 +42,7 @@ from localzeta import (
     series_mod_p,
 )
 from spf_reference import classify_residues, dilate
+from tree_reference import fraction_term, term_coeff
 
 F = Fraction
 BRUTE_BOUND = 10**5
@@ -106,11 +107,11 @@ def test_criterion_3_worked_instance():
         ctx = PAdicContext(3)
         z = compute_zeta(parse_poly("(x-1)^2*(x-4)"), ctx)
         assert z.sorted_terms() == (
-            ZetaTerm(F(2, 3), 0, 0),
-            ZetaTerm(F(1, 9), 3, 0),
-            ZetaTerm(F(2, 27), 4, 1),
-            ZetaTerm(F(2, 27), 5, 0),
-            ZetaTerm(F(2, 81), 7, 2),
+            ZetaTerm(2, 1, 0, 0),
+            ZetaTerm(1, 2, 3, 0),
+            ZetaTerm(2, 3, 4, 1),
+            ZetaTerm(2, 3, 5, 0),
+            ZetaTerm(2, 4, 7, 2),
         )
         counts = counts_from_coeffs(coeff_stream(z, 5), ctx, 5)
         assert counts == [1, 1, 3, 9, 18, 36]
@@ -145,16 +146,16 @@ def test_criterion_4_paired_digit_roots_at_p11():
             ctx,
             0,
             (
-                ZetaTerm(F(p - 3, p), 0, 0),
-                ZetaTerm(F(p - 1, p * p), 1, 1),
-                ZetaTerm(F(p - 1, p**2), 4, 0),
-                ZetaTerm(F(p - 1, p**2), 3, 0),
-                ZetaTerm(F(p - 2, p**3), 8, 0),
-                ZetaTerm(F(p - 1, p**4), 9, 1),
-                ZetaTerm(F(p - 1, p**4), 11, 3),
-                ZetaTerm(F(p - 2, p**3), 6, 0),
-                ZetaTerm(F(p - 1, p**4), 7, 1),
-                ZetaTerm(F(p - 1, p**4), 8, 2),
+                ZetaTerm(p - 3, 1, 0, 0),
+                ZetaTerm(p - 1, 2, 1, 1),
+                ZetaTerm(p - 1, 2, 4, 0),
+                ZetaTerm(p - 1, 2, 3, 0),
+                ZetaTerm(p - 2, 3, 8, 0),
+                ZetaTerm(p - 1, 4, 9, 1),
+                ZetaTerm(p - 1, 4, 11, 3),
+                ZetaTerm(p - 2, 3, 6, 0),
+                ZetaTerm(p - 1, 4, 7, 1),
+                ZetaTerm(p - 1, 4, 8, 2),
             ),
         )
         expected = normalize(hand)
@@ -248,14 +249,15 @@ def test_criterion_6_recursion_identity():
             cls = classify_residues(f.roots, ctx)
             terms = []
             if cls.nu:
-                terms.append(ZetaTerm(F(cls.nu, p), 0, 0))
+                terms.append(fraction_term(F(cls.nu, p), 0, 0, p))
             if cls.delta:
-                terms.append(ZetaTerm(F(cls.delta * (p - 1), p * p), 1, 1))
+                terms.append(fraction_term(F(cls.delta * (p - 1), p * p), 1, 1, p))
             for xi, e_xi, members in cls.groups:
                 sub = FactoredPoly(F(1), dilate(members, xi, ctx))
                 sub_tree = build_tree(sub, ctx, compute_lf(sub, ctx))
                 for t in generating_function(sub_tree).terms:
-                    terms.append(ZetaTerm(t.coeff / p, t.t_pow + e_xi, t.den_pow))
+                    coeff = term_coeff(t, p) / p
+                    terms.append(fraction_term(coeff, t.t_pow + e_xi, t.den_pow, p))
             rhs = normalize(ZetaFunction(ctx, 0, tuple(terms)))
             assert rf_equal(lhs, rhs)
 

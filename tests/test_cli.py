@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import localzeta.cli
 from localzeta import (
+    FactoredPoly,
     PAdicContext,
     RationalFunctionT,
     coeff_stream,
@@ -47,6 +48,23 @@ def test_zeta_json_round_trips(capsys):
     assert doc["normalized"]["num"] == ["18", "-6", "-6", "5", "1", "1", "-1"]
 
 
+@pytest.mark.parametrize("argv, term, coeff", [
+    # a rootless tree: the root term p/p prints as 1
+    (["--poly", "(x - 1/3)"], "1", "1"),
+    # all residues mod 3 hold one simple root: spf's term p(p - 1)/p^2 is 2/3
+    (["--poly", "(x - 0)*(x - 1)*(x - 2)", "--method", "spf"], "(2/3)*t / (1 - t/3)", "2/3"),
+])
+def test_zeta_prints_coefficients_in_lowest_terms(capsys, argv, term, coeff):
+    status, out, _ = run_cli(capsys, "zeta", "--prime", "3", *argv)
+    assert status == 0
+    assert out.splitlines()[1:-1] == ["terms:", f"  {term}"]
+    status, out, _ = run_cli(capsys, "zeta", "--prime", "3", *argv, "--format", "json")
+    assert status == 0
+    doc = json.loads(out)
+    assert [t["coeff"] for t in doc["terms"]] == [coeff]
+    assert zeta_from_json(doc).terms[0].j == coeff.count("/")
+
+
 def test_poincare_output(capsys):
     status, out, _ = run_cli(capsys, "poincare", "--poly", "x", "--prime", "5")
     assert status == 0
@@ -72,6 +90,23 @@ def test_count_all_methods_agree(capsys):
     assert lines[0] == "m\ttree\tspf\tbrute"
     assert lines[-1] == "all methods agree"
     assert lines[6] == "5\t36\t36\t36"
+
+
+def test_crosschecks_on_an_expanded_input_never_expand(capsys, monkeypatch):
+    # integrality is read off the factors (Gauss's lemma), and the oracle
+    # counts on the parsed dense form, so no factorisation is multiplied out
+    def forbidden(self):
+        raise AssertionError("FactoredPoly.expand called")
+
+    monkeypatch.setattr(FactoredPoly, "expand", forbidden)
+    poly = "x^6 - 10*x^5 + 19*x^4 + 68*x^3 - 233*x^2 + 230*x - 75"
+    for argv, last in (
+        (["count", "--method", "all"], "all methods agree"),
+        (["verify"], "all 6 checks passed"),
+    ):
+        status, out, _ = run_cli(capsys, *argv, "--poly", poly, "--prime", "2", "--max-m", "8")
+        assert status == 0
+        assert out.splitlines()[-1] == last
 
 
 def test_count_json(capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -13,6 +14,7 @@ from localzeta import (
     FactoredPoly,
     IntegralityError,
     LocalZetaError,
+    MalformedDocument,
     NegativeShift,
     NonIntegralCount,
     PAdicContext,
@@ -30,6 +32,8 @@ from localzeta import (
     rf_eval,
     rf_series,
     solution_counts,
+    zeta_from_json,
+    zeta_to_json,
 )
 from localzeta.counting import check_counts, poincare_counts, tree_counts
 
@@ -296,6 +300,14 @@ def test_integer_routes_match_the_rational_reference():
     assert all(reached.values()), reached
 
 
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(route_cases(), st.sampled_from(["tree", "spf"]))
+def test_zeta_json_round_trips_on_both_evaluators(case, method):
+    f, p, _, _ = case
+    z = compute_zeta(f, PAdicContext(p), method=method)
+    assert zeta_from_json(json.dumps(zeta_to_json(z))) == z
+
+
 def test_keystream_needs_no_fraction_and_no_normal_form(monkeypatch):
     import localzeta.counting as counting
     import localzeta.zeta as zeta
@@ -310,6 +322,8 @@ def test_keystream_needs_no_fraction_and_no_normal_form(monkeypatch):
     monkeypatch.setattr(zeta, "normalize", forbidden)
     monkeypatch.setattr(counting, "coeff_stream", forbidden)
     monkeypatch.setattr(counting, "Fraction", forbidden)
+    monkeypatch.setattr(zeta, "Fraction", forbidden)
+    monkeypatch.setattr(FactoredPoly, "expand", forbidden)
     for method, values in expected.items():
         assert keystream(f, ctx, 80, method=method).values == values
     assert expected["tree"] == expected["spf"]
@@ -336,16 +350,17 @@ def test_poincare_counts_rejects_a_corrupted_denominator(monkeypatch):
 
 def test_tree_counts_reject_coefficients_off_the_p_scale():
     ctx = PAdicContext(3)
-    # c_0 = 1/2: the denominator is not a power of 3
-    with pytest.raises(NonIntegralCount, match="not a power of 3"):
-        tree_counts(ZetaFunction(ctx, 0, (ZetaTerm(F(1, 2), 0, 0),)), 2)
+    # c_0 = 1/2: a term c/3**j cannot hold it, and the JSON reader refuses it
+    doc = {"p": "3", "shift": 0, "terms": [{"coeff": "1/2", "t_pow": 0, "den_pow": 0}]}
+    with pytest.raises(MalformedDocument, match="denominator a power of 3"):
+        zeta_from_json(doc)
     # c_0 = 1/9: 3 * c_0 is not an integer
     with pytest.raises(NonIntegralCount, match="not an integer"):
-        tree_counts(ZetaFunction(ctx, 0, (ZetaTerm(F(1, 9), 0, 0),)), 2)
+        tree_counts(ZetaFunction(ctx, 0, (ZetaTerm(1, 2, 0, 0),)), 2)
     with pytest.raises(NegativeShift):
-        tree_counts(ZetaFunction(ctx, -1, (ZetaTerm(F(1), 0, 0),)), 2)
+        tree_counts(ZetaFunction(ctx, -1, (ZetaTerm(1, 0, 0, 0),)), 2)
     # the geometric term (2/3)/(1 - t/3) of f = x: N_m = 1 at every level
-    z = ZetaFunction(ctx, 0, (ZetaTerm(F(2, 3), 0, 1),))
+    z = ZetaFunction(ctx, 0, (ZetaTerm(2, 1, 0, 1),))
     assert tree_counts(z, 6) == [1] * 7
 
 

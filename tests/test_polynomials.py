@@ -494,6 +494,19 @@ def test_as_integer_poly():
         as_integer_poly(parse_poly("1/2*x^2"))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=36).filter(bool),
+    st.dictionaries(
+        st.fractions(min_value=-20, max_value=20, max_denominator=12), st.integers(1, 3),
+        max_size=4,
+    ),
+)
+def test_factored_integrality_needs_no_expansion(unit, roots):
+    f = FactoredPoly(unit, tuple(roots.items()))
+    assert f.is_integral() == f.expand().is_integral()
+
+
 def test_find_roots_product_of_two_large_primes():
     # the constant term is the product of a 27-digit and a 33-digit prime;
     # the search factors no integer, so that product costs nothing

@@ -32,6 +32,7 @@ from localzeta import (
     normalize,
     parse_poly,
     poincare,
+    reduce_to_integral_roots,
     rf_add,
     rf_equal,
     rf_eval,
@@ -54,7 +55,13 @@ from localzeta.errors import (
 from localzeta.ratfunc import poly_add, poly_is_zero, poly_mul, poly_trim
 from localzeta.zeta import _separation_depth, _spf_terms
 from spf_reference import classify_residues, dilate, spf_terms as reference_spf_terms
-from tree_reference import minimal_weight_one_set, tree_terms, vertex_term
+from tree_reference import (
+    fraction_term,
+    minimal_weight_one_set,
+    term_coeff,
+    tree_terms,
+    vertex_term,
+)
 
 F = Fraction
 
@@ -97,7 +104,7 @@ def worked_setup():
 
 
 def term_set(z):
-    return [(t.coeff, t.t_pow, t.den_pow) for t in z.sorted_terms()]
+    return [(term_coeff(t, z.ctx.p), t.t_pow, t.den_pow) for t in z.sorted_terms()]
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +118,14 @@ def test_vertex_term_examples():
     minimal = minimal_weight_one_set(tree)
 
     root = by_key[(0, 0)]
-    assert vertex_term(root, ctx, l_f, root.id in minimal) == ZetaTerm(F(2, 3), 0, 0)
+    assert vertex_term(root, ctx, l_f, root.id in minimal) == ZetaTerm(2, 1, 0, 0)
 
     v = by_key[(2, 4)]
     assert v.id in minimal
-    assert vertex_term(v, ctx, l_f, True) == ZetaTerm(F(2, 27), 4, 1)
+    assert vertex_term(v, ctx, l_f, True) == ZetaTerm(2, 3, 4, 1)
 
     v = by_key[(3, 1)]
-    assert vertex_term(v, ctx, l_f, v.id in minimal) == ZetaTerm(F(2, 81), 7, 2)
+    assert vertex_term(v, ctx, l_f, v.id in minimal) == ZetaTerm(2, 4, 7, 2)
 
     # weight-1 vertex below another weight-1 vertex contributes nothing
     v = by_key[(3, 4)]
@@ -130,7 +137,7 @@ def test_full_valence_vertices_are_omitted():
     ctx = PAdicContext(2)
     f = FactoredPoly(F(1), ((F(0), 1), (F(1), 1)))
     z = generating_function(build_tree(f, ctx, compute_lf(f, ctx)))
-    assert all(t.coeff != 0 for t in z.terms)
+    assert all(t.c != 0 for t in z.terms)
     assert rf_eval(normalize(z), 1) == 1
 
 
@@ -313,6 +320,21 @@ def test_generating_function_matches_the_search_from_the_root(case):
     assert list(generating_function(tree).terms) == tree_terms(tree)
 
 
+@pytest.mark.parametrize("poly, tree_expected, spf_expected", [
+    # the root has v_p < 0, so the tree has no roots: its root term p/p is 1
+    ("(x - 1/3)", [ZetaTerm(1, 0, 0, 0)], [ZetaTerm(1, 0, 0, 0)]),
+    # every residue mod 3 holds one simple root: spf's p(p - 1)/p**2 is 2/3
+    ("(x - 0)*(x - 1)*(x - 2)", [ZetaTerm(2, 2, 1, 1)] * 3, [ZetaTerm(2, 1, 1, 1)]),
+])
+def test_evaluators_emit_lowest_terms(poly, tree_expected, spf_expected):
+    ctx = PAdicContext(3)
+    fplus = reduce_to_integral_roots(parse_poly(poly), ctx).fplus
+    tree = build_tree(fplus, ctx, compute_lf(fplus, ctx))
+    assert list(generating_function(tree).terms) == tree_terms(tree) == tree_expected
+    spf = list(spf_eval(fplus.roots, ctx).terms)
+    assert spf == reference_spf_terms(fplus.roots, ctx) == spf_expected
+
+
 def test_compute_lf_checks_its_depth_bound(monkeypatch):
     # (x - 1)(x - 10) at p = 3 has l_f = 3; a bound of 1 must not go unnoticed
     monkeypatch.setattr(localzeta.polynomials, "_separation_depth", lambda roots, ctx: 1)
@@ -356,15 +378,15 @@ def test_recursion_identity_direct():
         cls = classify_residues(f.roots, ctx)
         terms = []
         if cls.nu:
-            terms.append(ZetaTerm(F(cls.nu, p), 0, 0))
+            terms.append(fraction_term(F(cls.nu, p), 0, 0, p))
         if cls.delta:
-            terms.append(ZetaTerm(F(cls.delta * (p - 1), p * p), 1, 1))
+            terms.append(fraction_term(F(cls.delta * (p - 1), p * p), 1, 1, p))
         for xi, e_xi, members in cls.groups:
             sub_roots = dilate(members, xi, ctx)
             sub = FactoredPoly(F(1), sub_roots)
             sub_tree = build_tree(sub, ctx, compute_lf(sub, ctx))
             for t in generating_function(sub_tree).terms:
-                terms.append(ZetaTerm(t.coeff / p, t.t_pow + e_xi, t.den_pow))
+                terms.append(fraction_term(term_coeff(t, p) / p, t.t_pow + e_xi, t.den_pow, p))
         rhs = normalize(ZetaFunction(ctx, 0, tuple(terms)))
         assert rf_equal(lhs, rhs)
 
@@ -376,7 +398,7 @@ def test_recursion_identity_direct():
 
 def test_normalize_constant_only():
     ctx = PAdicContext(3)
-    z = ZetaFunction(ctx, 0, (ZetaTerm(F(2, 3), 0, 0),))
+    z = ZetaFunction(ctx, 0, (ZetaTerm(2, 1, 0, 0),))
     assert normalize(z) == RationalFunctionT((2,), (3,))
 
 
@@ -389,7 +411,7 @@ def test_normalize_worked_example_cross_multiplied():
     total = make_ratfunc([0], [1])
     for t in z.terms:
         den = [F(1)] + [F(0)] * (t.den_pow - 1) + [F(-1, 3)] if t.den_pow else [F(1)]
-        num = [F(0)] * t.t_pow + [t.coeff]
+        num = [F(0)] * t.t_pow + [term_coeff(t, 3)]
         total = rf_add(total, make_ratfunc(num, den))
     assert rf_equal(rf, total)
 
@@ -513,7 +535,10 @@ def zeta_cases(draw):
     if draw(st.booleans()):
         c = F(draw(st.integers(-50, 50).filter(bool)), p ** draw(st.integers(0, 3)))
         a, b = draw(st.integers(0, 6)), draw(st.integers(1, 7))
-        zero = (ZetaTerm(c, a, b), ZetaTerm(-c / p, a + b, b), ZetaTerm(-c, a, 0))
+        zero = tuple(
+            fraction_term(coeff, t_pow, den_pow, p)
+            for coeff, t_pow, den_pow in ((c, a, b), (-c / p, a + b, b), (-c, a, 0))
+        )
         z = replace(z, terms=z.terms + zero)
     return z
 
@@ -521,7 +546,8 @@ def zeta_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(zeta_cases())
 def test_sorted_terms_matches_the_fraction_keyed_sort(z):
-    by_fraction = sorted(z.terms, key=lambda t: (t.t_pow, t.den_pow, t.coeff))
+    p = z.ctx.p
+    by_fraction = sorted(z.terms, key=lambda t: (t.t_pow, t.den_pow, term_coeff(t, p)))
     assert z.sorted_terms() == tuple(by_fraction)
 
 
@@ -531,7 +557,7 @@ def folded_normal_form(z):
     total = make_ratfunc([0], [1])
     for t in z.terms:
         den = [F(1)] + [F(0)] * (t.den_pow - 1) + [F(-1, p)] if t.den_pow else [F(1)]
-        total = rf_add(total, make_ratfunc([F(0)] * t.t_pow + [t.coeff], den))
+        total = rf_add(total, make_ratfunc([F(0)] * t.t_pow + [term_coeff(t, p)], den))
     if z.shift >= 0:
         return rf_mul(total, rf_from_poly([0] * z.shift + [1]))
     return rf_mul(total, make_ratfunc([1], [0] * -z.shift + [1]))
@@ -578,9 +604,8 @@ def test_normal_form_matches_generic_fold():
 def test_poincare_measure_check_survives_optimize():
     # Z = 1/3 has total measure 1/3; the check must not be a bare assert
     code = (
-        "from fractions import Fraction\n"
         "from localzeta import InvariantViolation, PAdicContext, ZetaFunction, ZetaTerm, poincare\n"
-        "z = ZetaFunction(PAdicContext(3), 0, (ZetaTerm(Fraction(1, 3), 0, 0),))\n"
+        "z = ZetaFunction(PAdicContext(3), 0, (ZetaTerm(1, 1, 0, 0),))\n"
         "try:\n"
         "    poincare(z)\n"
         "except InvariantViolation as exc:\n"

@@ -5,6 +5,8 @@ reference for the tests.
 its parent's weight in one pass over the vertices.  This module keeps the
 definition instead: a search from the root that remembers whether a
 weight-1 vertex lies above, and one ``ZetaTerm`` per vertex in id order.
+Each coefficient is formed as a Fraction and converted to the term's
+integer pair (c, j) by ``fraction_term`` only when it is returned.
 """
 
 from __future__ import annotations
@@ -12,6 +14,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from localzeta import PAdicContext, Vertex, WeightedTree, ZetaTerm
+
+
+def fraction_term(coeff: Fraction, t_pow: int, den_pow: int, p: int) -> ZetaTerm:
+    """The ZetaTerm of coeff * t**t_pow / (1 - t**den_pow / p), coeff = c/p**j."""
+    j, rest = 0, coeff.denominator
+    while rest % p == 0:
+        j, rest = j + 1, rest // p
+    if rest != 1:
+        raise ValueError(f"{coeff} has a denominator that is not a power of {p}")
+    return ZetaTerm(coeff.numerator, j, t_pow, den_pow)
+
+
+def term_coeff(term: ZetaTerm, p: int) -> Fraction:
+    """The coefficient c/p**j of a term as a Fraction."""
+    return Fraction(term.c, p**term.j)
 
 
 def minimal_weight_one_set(tree: WeightedTree) -> set[int]:
@@ -45,13 +62,13 @@ def vertex_term(
     if v.weight == 1:
         if not in_minimal_set:
             return None
-        return ZetaTerm(Fraction(p - 1, p ** (v.level + 1)), v.stalk_weight, 1)
+        return fraction_term(Fraction(p - 1, p ** (v.level + 1)), v.stalk_weight, 1, p)
     if v.level == l_f + 1:
-        return ZetaTerm(Fraction(p - 1, p ** (v.level + 1)), v.stalk_weight, v.weight)
+        return fraction_term(Fraction(p - 1, p ** (v.level + 1)), v.stalk_weight, v.weight, p)
     if v.valence == p:  # zero coefficient, omitted from the canonical term list
         return None
-    return ZetaTerm(
-        Fraction(p - v.valence, p ** (v.level + 1)), v.stalk_weight, 0
+    return fraction_term(
+        Fraction(p - v.valence, p ** (v.level + 1)), v.stalk_weight, 0, p
     )
 
 
