@@ -5,10 +5,15 @@ Z(t, f), and N_(m+1) = p*N_m - p**(m+1)*c_m with N_0 = 1.  The counts are
 computed in integers on two independent routes:
 
 * tree: the terms of the tree evaluator are expanded geometrically, with
-  p**(m+1)*c_m kept as an integer at one common scale (``tree_counts``);
-* spf: sum N_m u**m = H(pu), so the counts are the long division of the
-  residue recursion's Poincare series with its coefficients rescaled by
-  powers of p (``poincare_counts``).
+  p**(m+1)*c_m kept as an integer at one common scale, by one recurrence
+  per den_pow b (``tree_counts``);
+* spf: sum N_m u**m = H(pu), so the counts are the series of the residue
+  recursion's Poincare series with its coefficients rescaled by powers of
+  p; its denominator's factors p - t**b are found by trial division, and
+  each is divided out in one pass (``poincare_counts``).
+
+Either route costs O(u*|B|) big-integer steps for N_0..N_u, B the set of
+den_pow values.
 
 ``solution_counts`` gives N_0..N_u by either route or by the oracle
 below, all checked by the same integer test (``check_counts``).  The
@@ -16,7 +21,7 @@ counts are the only count type: c_m = (p*N_m - N_(m+1)) / p**(m+1) is
 formed only where the ``count`` command prints it.  ``coeff_stream``
 and ``counts_from_coeffs`` keep the rational-arithmetic reference.  The
 brute-force oracle counts the solutions of f = 0 mod p**m directly: it
-finds the roots mod p by one array sweep over the p residues, lifts the
+finds the roots mod p by a sweep over the p residues, lifts the
 solutions mod p**m to those mod p**(m+1) by a Hensel step on Python ints
 (the lifts of x0 solve f(x0)/p**m + f'(x0)*k = 0 mod p), and counts a
 residue class outright once the Taylor coefficients of f fix v_p(f) on
@@ -27,18 +32,19 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-
-import numpy as np
+from itertools import islice
+from operator import add
 
 from .errors import CapExceeded, LocalZetaError, NegativeShift, NonIntegralCount
 from .padic import PAdicContext
 from .polynomials import DensePoly, FactoredPoly, as_integer_poly, require_integral
 from .ratfunc import RationalFunctionT
-from .zeta import ZetaFunction, compute_zeta, poincare
+from .zeta import ZetaFunction, _div_binomial, compute_zeta, poincare
 
 DEFAULT_CAP = 10**7
 _VECTOR_LIMIT = 2**31  # int64 stays exact: residues < 2**31, products < 2**62
 _BLOCK = 1 << 18
+_ARRAY_SWEEP = 50  # numpy sweeps mod p from here on, see _roots_mod_p
 
 
 def check_counts(counts: list[int], p: int) -> list[int]:
@@ -64,29 +70,39 @@ def tree_counts(z: ZetaFunction, n: int) -> list[int]:
     S_m = p**(m+1)*c_m, N_(m+1) = p*N_m - S_m.  The terms are summed per
     den_pow b into P_b (indexed by exponent, the shift included), and the
     share of bucket b in S_m obeys U_b(m) = p**(m+1)*P_b[m] +
-    p**(b-1)*U_b(m-b) (the second summand only for b >= 1).  The sums run
-    at the terms' common scale p**E, E the largest j of a coefficient
-    c/p**j (``ZetaFunction.scaled_coeffs``), and each S_m is divided by
-    p**E exactly at the end; a remainder raises NonIntegralCount.
+    p**(b-1)*U_b(m-b) (the second summand only for b >= 1).  P_b has a
+    term at few exponents, so p**(m+1)*P_b[m] is formed only there, each
+    p**(m+1) once; bucket 0 adds only at its terms, and the pass of a
+    bucket b >= 1 starts at its first term: O(n) big-integer steps per
+    den_pow.  The sums run at the terms' common scale p**E, E the largest
+    j of a coefficient c/p**j (``ZetaFunction.scaled_coeffs``), and each
+    S_m is divided by p**E exactly at the end; a remainder raises
+    NonIntegralCount.
     """
     if z.shift < 0:
         raise NegativeShift(f"shift {z.shift} < 0: not a power series in t")
     p = z.ctx.p
     scale, cs = z.scaled_coeffs()
-    buckets: dict[int, list[int]] = {}
+    buckets: dict[int, dict[int, int]] = {}
     for term, c in zip(z.terms, cs):
         start = term.t_pow + z.shift
         if start < n:
-            buckets.setdefault(term.den_pow, [0] * n)[start] += c
+            bucket = buckets.setdefault(term.den_pow, {})
+            bucket[start] = bucket.get(start, 0) + c
+    powers = {m: p ** (m + 1) for bucket in buckets.values() for m in bucket}
     total = [0] * n  # p**E * S_m
-    for b, share in buckets.items():  # P_b becomes p**E * U_b in place
-        power, step = 1, p ** (b - 1) if b else 0
-        for m in range(n):
-            power *= p
-            share[m] *= power
-            if step and m >= b:
-                share[m] += step * share[m - b]
-            total[m] += share[m]
+    for b, bucket in buckets.items():
+        if not b:
+            for m, c in bucket.items():
+                total[m] += c * powers[m]
+            continue
+        share = [0] * n  # p**E * U_b
+        for m, c in bucket.items():
+            share[m] = c * powers[m]
+        first, step = min(bucket), p ** (b - 1)
+        for m, behind in zip(range(first + b, n), islice(share, first, None)):
+            share[m] += step * behind
+        total[first:] = map(add, total[first:], share[first:])
     counts = [1]
     for m in range(n):
         s, rest = divmod(total[m], scale)
@@ -97,25 +113,50 @@ def tree_counts(z: ZetaFunction, n: int) -> list[int]:
 
 
 def poincare_counts(h: RationalFunctionT, p: int, n: int) -> list[int]:
-    """N_0..N_n as the series of H(pu) = sum N_m u**m, by exact long division.
+    """N_0..N_n as the series of H(pu) = sum N_m u**m, by exact division.
 
-    With H = num/den, num'_i = p**i*num_i and den'_j = p**j*den_j, so
-    N_m = (num'_m - sum_(j >= 1) den'_j*N_(m-j)) / den'_0.  A division that
-    is not exact raises NonIntegralCount.
+    With H = num/den, num'_i = p**i*num_i.  A factor p - t**b of den turns
+    into p*(1 - p**(b-1)*u**b) in u, and dividing a series by
+    1 - p**(b-1)*u**b is the in-place pass x_m += p**(b-1)*x_(m-b).  A
+    ``poincare`` denominator is a constant times prod_(b in B) (p - t**b),
+    the b distinct (see ``zeta``), so its lowest power of t past the
+    constant is t**min(B): the factors are found by trial division by
+    p - t**b for that lowest b, repeated on the quotient until a division
+    fails or a constant is left.  What is left of den, rest, is divided
+    out by long division: N_m = (x_m - sum_(j >= 1) rest'_j*N_(m-j)) /
+    rest'_0, with rest'_j = p**(j+k)*rest_j for the k factors peeled.  For
+    a ``poincare`` denominator rest is a constant, one divmod per m, so
+    N_0..N_n cost O(n*|B|) big-integer steps; any other denominator still
+    divides exactly.  A division that is not exact raises NonIntegralCount.
     """
-    num = [c * p**i for i, c in enumerate(h.numerator[: n + 1])]
-    num += [0] * (n + 1 - len(num))
-    den = [c * p**j for j, c in enumerate(h.denominator[: n + 1])]
-    lead, den = den[0], den[1:]
-    if lead == 0:
+    den = list(h.denominator)
+    if den[0] == 0:
         raise NonIntegralCount("H(pu) has a denominator with zero constant term")
+    peeled = []
+    while True:  # try b = den's lowest power of t past the constant, again after a hit
+        b = next((i for i, c in enumerate(den) if i and c), 0)
+        quot = _div_binomial(den, p, b) if b else None
+        if quot is None:
+            break
+        den = quot
+        peeled.append(b)
+    x = [c * p**i for i, c in enumerate(h.numerator[: n + 1])]
+    x += [0] * (n + 1 - len(x))
+    for b in peeled:
+        step = p ** (b - 1)
+        for m, behind in zip(range(b, n + 1), x):  # reads x_(m-b) after its update
+            x[m] += step * behind
+    scale = p ** len(peeled)
+    lead, *rest = [c * p**j * scale for j, c in enumerate(den[: n + 1])]
     counts: list[int] = []
-    for m in range(n + 1):
-        acc = num[m] - sum(d * c for d, c in zip(den, reversed(counts)))
-        value, rest = divmod(acc, lead)
-        if rest:
+    for m, acc in enumerate(x):
+        value, remainder = divmod(acc, lead)
+        if remainder:
             raise NonIntegralCount(f"N_{m} is not an integer: den'_0 does not divide")
         counts.append(value)
+        if rest:  # subtract rest'_j*N_m from the x_(m+j) ahead
+            for j, d in zip(range(m + 1, n + 1), rest):
+                x[j] -= d * value
     return counts
 
 
@@ -184,8 +225,9 @@ def brute_counts_upto(
     lifted, _settle counts outright every class x0 + p**m Z on which
     v_p(f) is already fixed, so only the classes near a root are lifted
     further.  Level 0 evaluates f at the p residues mod p by Horner's rule
-    on whole arrays (int64 while p < _VECTOR_LIMIT, Python ints above), at
-    most _BLOCK at a time.  Every level m >= 1 takes a Hensel step on
+    (``_roots_mod_p``: a Python loop below _ARRAY_SWEEP, else arrays, int64
+    while p < _VECTOR_LIMIT and Python ints above, at most _BLOCK at a
+    time).  Every level m >= 1 takes a Hensel step on
     Python ints: p**m divides a_0 = f(x0), and with a_1 = f'(x0),
     f(x0 + k*p**m) = a_0 + a_1*k*p**m mod p**(m+1), so the lifts are the k
     with a_0/p**m + a_1*k = 0 mod p: one k when p does not divide a_1, all
@@ -202,10 +244,10 @@ def brute_counts_upto(
         raise LocalZetaError("max-m/length must be nonnegative")
     coeffs = [int(c) for c in as_integer_poly(f).coefficients]
     p = ctx.p
-    power = 1
+    powers = [1]  # p**0..p**n, built once for every level
     for _ in range(n):  # stops once past the cap, so p**n is never formed for a huge n
-        power *= p
-        if power > cap:
+        powers.append(powers[-1] * p)
+        if powers[-1] > cap:
             size = f"p^{n}"
             limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
             # p**n has at least n*(bits(p) - 1) bits, and over a quarter as many digits
@@ -218,13 +260,13 @@ def brute_counts_upto(
     counts = [1] + [0] * n
     survivors = [0]  # the single class mod p**0
     for m in range(n):
-        live = _settle(survivors, coeffs, p, m, n, counts)
+        live = _settle(survivors, coeffs, m, powers, counts)
         if not live:
             break
         if m == 0:
             survivors = _roots_mod_p(coeffs, p)
         else:
-            place = p**m
+            place = powers[m]
             survivors = []
             for x0, a0, a1 in live:
                 if a1 % p:
@@ -237,10 +279,26 @@ def brute_counts_upto(
 
 
 def _roots_mod_p(coeffs: list[int], p: int) -> list[int]:
-    """The roots of f mod p, by Horner's rule on arrays of at most _BLOCK residues."""
-    dtype = np.int64 if p < _VECTOR_LIMIT else object
+    """The roots of f mod p, by Horner's rule on each of the p residues.
+
+    Below _ARRAY_SWEEP a Python loop is faster than numpy's per-call
+    overhead, and it spares the process the import of numpy.  From there
+    on the residues go through arrays of at most _BLOCK at a time.
+    """
     cs = [c % p for c in coeffs]
-    roots: list[int] = []
+    if p < _ARRAY_SWEEP:
+        roots = []
+        for x in range(p):
+            acc = 0
+            for c in reversed(cs):
+                acc = (acc * x + c) % p
+            if not acc:
+                roots.append(x)
+        return roots
+    import numpy as np  # here only, so that importing the package does not load numpy
+
+    dtype = np.int64 if p < _VECTOR_LIMIT else object
+    roots = []
     for start in range(0, p, _BLOCK):
         xs = np.arange(start, min(start + _BLOCK, p)).astype(dtype, copy=False)
         acc = np.full_like(xs, cs[-1])
@@ -253,7 +311,7 @@ def _roots_mod_p(coeffs: list[int], p: int) -> list[int]:
 
 
 def _settle(
-    survivors: list[int], coeffs: list[int], p: int, m: int, n: int, counts: list[int]
+    survivors: list[int], coeffs: list[int], m: int, powers: list[int], counts: list[int]
 ) -> list[tuple[int, int, int]]:
     """Count the classes x0 + p**m Z whose solutions are known; return the rest.
 
@@ -265,9 +323,9 @@ def _settle(
     beyond, which go straight into counts[j].  a_0 = f(x0) and
     a_1 = f'(x0) come from one Horner pass; the a_k with k >= 2 matter only
     while m*k is below w + 1 (see _later_terms_pass).  A class still in
-    the running comes back as (x0, a_0, a_1).
+    the running comes back as (x0, a_0, a_1).  powers holds p**0..p**n.
     """
-    powers = [p**j for j in range(n + 1)]
+    n = len(powers) - 1
     tally = [0] * (n + 1)
     live = []
     backwards = coeffs[::-1]
@@ -289,7 +347,7 @@ def _settle(
     at_least = 0
     for j in range(n, m, -1):
         at_least += tally[j]
-        counts[j] += at_least * p ** (j - m)
+        counts[j] += at_least * powers[j - m]
     return live
 
 

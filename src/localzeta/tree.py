@@ -18,6 +18,7 @@ serialization is deterministic.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .errors import MalformedDocument
@@ -136,24 +137,45 @@ def tree_to_json(tree: WeightedTree) -> dict:
     }
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def json_int(value: object, reader: str, field: str) -> int:
+    """A JSON integer, or a decimal string as the writers emit, as an int.
+
+    int() would truncate a float and take a boolean as 0 or 1, so a
+    document holding either would load as a different object; they and
+    every other value raise MalformedDocument naming the reader and field.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise MalformedDocument(
+        f"{reader}: {field} must be an integer or a decimal string, not {value!r:.60}"
+    )
+
+
+def _json_vertex(i: int, v: dict) -> Vertex:
+    def read(field: str, value: object) -> int:
+        return json_int(value, "tree_from_json", f"vertex {i} {field}")
+
+    if not isinstance(v["children"], list):
+        raise MalformedDocument(f"tree_from_json: vertex {i} children must be a list")
+    return Vertex(
+        parent=None if v["parent"] is None else read("parent", v["parent"]),
+        children=tuple(read("children", c) for c in v["children"]),
+        **{k: read(k, v[k]) for k in ("id", "level", "residue", "weight", "stalk_weight")},
+    )
+
+
 def tree_from_json(doc: dict | str) -> WeightedTree:
     """Inverse of tree_to_json; a document that is no residue tree is rejected."""
     try:
         if isinstance(doc, str):
             doc = json.loads(doc)
-        vertices = tuple(
-            Vertex(
-                id=int(v["id"]),
-                level=int(v["level"]),
-                residue=int(v["residue"]),
-                parent=None if v["parent"] is None else int(v["parent"]),
-                children=tuple(int(c) for c in v["children"]),
-                weight=int(v["weight"]),
-                stalk_weight=int(v["stalk_weight"]),
-            )
-            for v in doc["vertices"]
-        )
-        p, l_f, root = int(doc["p"]), int(doc["l_f"]), int(doc["root"])
+        vertices = tuple(_json_vertex(i, v) for i, v in enumerate(doc["vertices"]))
+        p, l_f, root = (json_int(doc[k], "tree_from_json", k) for k in ("p", "l_f", "root"))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"tree_from_json: {exc!r}") from exc
     problem = (

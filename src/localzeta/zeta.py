@@ -50,7 +50,7 @@ from .polynomials import (
     reduce_to_integral_roots,
 )
 from .ratfunc import RationalFunctionT, rf_format
-from .tree import WeightedTree, build_tree
+from .tree import WeightedTree, build_tree, json_int
 
 Roots = tuple[tuple[Fraction, int], ...]
 
@@ -374,12 +374,25 @@ def zeta_to_json(z: ZetaFunction) -> dict:
 
 
 def zeta_from_json(doc: dict | str) -> ZetaFunction:
-    """Inverse of zeta_to_json, ignoring `normalized`; each coeff n/d must have d = p**j."""
+    """Inverse of zeta_to_json, ignoring `normalized`; each coeff n/d must have d = p**j.
+
+    The integers go through ``tree.json_int``; a coefficient must be an
+    integer or a string such as "-2/27", so a float or boolean is refused.
+    """
     try:
         if isinstance(doc, str):
             doc = json.loads(doc)
-        raw = [(Fraction(t["coeff"]), int(t["t_pow"]), int(t["den_pow"])) for t in doc["terms"]]
-        p, shift = int(doc["p"]), int(doc["shift"])
+        raw = []
+        for i, t in enumerate(doc["terms"]):
+            coeff = t["coeff"]
+            if isinstance(coeff, bool) or not isinstance(coeff, (int, str)):
+                raise MalformedDocument(
+                    f"zeta_from_json: term {i} coeff must be an integer or a string, "
+                    f"not {coeff!r:.60}"
+                )
+            a, b = (json_int(t[k], "zeta_from_json", f"term {i} {k}") for k in ("t_pow", "den_pow"))
+            raw.append((Fraction(coeff), a, b))
+        p, shift = (json_int(doc[k], "zeta_from_json", k) for k in ("p", "shift"))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedDocument(f"zeta_from_json: {exc!r}") from exc
     ctx = PAdicContext(p)

@@ -302,6 +302,18 @@ def test_brute_sweeps_a_large_prime_in_arrays(capsys):
     assert elapsed < 0.5, elapsed
 
 
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # only the count oracle's sweep mod p uses numpy, so zeta, poincare and
+    # keystream calls do not pay for importing it
+    src = str(Path(localzeta.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, localzeta.cli; print(localzeta.cli.__file__, 'numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out == f"{localzeta.cli.__file__} False\n"
+
+
 def test_brute_cap_env_var(capsys, monkeypatch):
     monkeypatch.setenv("LOCALZETA_BRUTE_CAP", "10")
     status, _, err = run_cli(

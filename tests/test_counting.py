@@ -36,6 +36,8 @@ from localzeta import (
     zeta_to_json,
 )
 from localzeta.counting import check_counts, poincare_counts, tree_counts
+from localzeta.zeta import _div_binomial
+from poincare_reference import dense_poincare_counts
 
 F = Fraction
 
@@ -138,6 +140,24 @@ def test_brute_python_fallback_agrees():
     finally:
         counting._VECTOR_LIMIT = old
     assert fast == slow
+
+
+def test_root_sweeps_agree_on_both_sides_of_the_array_threshold(monkeypatch):
+    # small p loops over the residues in Python; larger p uses int64 arrays,
+    # or object arrays past _VECTOR_LIMIT: force each path at every p
+    import localzeta.counting as counting
+
+    rng = random.Random(5)
+    for p in (2, 7, 47, 53, 101, 1009):
+        for _ in range(5):
+            coeffs = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(2, 8))]
+            coeffs += [p * rng.randint(1, 9)] if p < 50 else []  # a leading zero mod p
+            expected = [x for x in range(p)
+                        if sum(c * x**i for i, c in enumerate(coeffs)) % p == 0]
+            for sweep, vector in ((10**9, 2**31), (0, 2**31), (0, 1)):
+                monkeypatch.setattr(counting, "_ARRAY_SWEEP", sweep)
+                monkeypatch.setattr(counting, "_VECTOR_LIMIT", vector)
+                assert counting._roots_mod_p(coeffs, p) == expected, (p, coeffs, sweep, vector)
 
 
 def test_count_sequence_methods_agree():
@@ -255,13 +275,13 @@ def test_keystream_rejects_negative_depth():
 
 
 @st.composite
-def route_cases(draw):
-    """(f, p, u, kind): an integer polynomial with rational roots, u <= 200.
+def route_cases(draw, primes=(2, 3, 5, 101), max_u=200):
+    """(f, p, u, kind): an integer polynomial with rational roots, u <= max_u.
 
     Roots are integers, fractions with denominators prime to p, or a tower
     (x - 1)^3 (x - 1 - p^k)^2 whose roots agree to k digits.
     """
-    p = draw(st.sampled_from([2, 3, 5, 101]))
+    p = draw(st.sampled_from(primes))
     kind = draw(st.sampled_from(["integral", "rational", "tower"]))
     if kind == "tower":
         roots = {F(1): 3, F(1 + p ** draw(st.integers(1, 12))): 2}
@@ -274,7 +294,7 @@ def route_cases(draw):
             roots[F(draw(st.integers(-60, 60)), den)] = draw(st.integers(1, 3))
     lead = math.prod(r.denominator**e for r, e in roots.items())
     f = FactoredPoly(F(lead), tuple(sorted(roots.items())))
-    return f, p, draw(st.integers(0, 200)), kind
+    return f, p, draw(st.integers(0, max_u)), kind
 
 
 def test_integer_routes_match_the_rational_reference():
@@ -362,6 +382,79 @@ def test_tree_counts_reject_coefficients_off_the_p_scale():
     # the geometric term (2/3)/(1 - t/3) of f = x: N_m = 1 at every level
     z = ZetaFunction(ctx, 0, (ZetaTerm(2, 1, 0, 1),))
     assert tree_counts(z, 6) == [1] * 7
+
+
+def peeled_denominator(h, p):
+    """What is left of h's denominator after every binomial p - t**b comes off."""
+    den, b = list(h.denominator), 1
+    while b < len(den):
+        quot = _div_binomial(den, p, b)
+        den, b = (den, b + 1) if quot is None else (quot, b)
+    return den
+
+
+def test_deep_routes_match_the_dense_division():
+    reached = {"integral": 0, "rational": 0, "tower": 0, "deep": 0}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(route_cases(primes=(2, 3, 101), max_u=1500))
+    def check(case):
+        f, p, u, kind = case
+        ctx = PAdicContext(p)
+        z = compute_zeta(f, ctx, method="tree")
+        h = poincare(compute_zeta(f, ctx, method="spf"))
+        dense = dense_poincare_counts(h, p, u)
+        assert poincare_counts(h, p, u) == dense
+        assert tree_counts(z, u) == dense
+        assert counts_from_coeffs(coeff_stream(z, u), ctx, u) == dense
+        # a poincare denominator is a constant times its binomials
+        assert len(peeled_denominator(h, p)) == 1
+        reached[kind] += 1
+        reached["deep"] += u >= 400
+
+    check()
+    assert all(reached.values()), reached
+
+
+def peeled_binomials(monkeypatch):
+    """The list that collects each b whose p - t**b poincare_counts divides off."""
+    import localzeta.counting as counting
+
+    hits = []
+
+    def spy(a, p, b):
+        quot = _div_binomial(a, p, b)
+        hits.extend([b] if quot is not None else [])
+        return quot
+
+    monkeypatch.setattr(counting, "_div_binomial", spy)
+    return hits
+
+
+def test_poincare_counts_divide_a_repeated_binomial(monkeypatch):
+    # den = (3 - t^2)^2, so H(3u) = 9 / (9 (1 - 3u^2)^2) = sum (k + 1) 3^k u^(2k)
+    h = RationalFunctionT((9,), (9, 0, -6, 0, 1))
+    assert peeled_denominator(h, 3) == [1]
+    hits = peeled_binomials(monkeypatch)
+    expected = [(m // 2 + 1) * 3 ** (m // 2) if m % 2 == 0 else 0 for m in range(41)]
+    assert poincare_counts(h, 3, 40) == dense_poincare_counts(h, 3, 40) == expected
+    assert hits == [2, 2]  # both copies come off, so what is left is a constant
+
+
+def test_poincare_counts_divide_a_leftover_that_is_no_binomial(monkeypatch):
+    # den = (3 - t)(1 + t + t^2): 3 - t comes off, 1 + t + t^2 is divided out densely
+    den = (3, 2, 2, -1)
+    h = RationalFunctionT((3, 1), den)
+    assert peeled_denominator(h, 3) == [1, 1, 1]
+    hits = peeled_binomials(monkeypatch)
+    expected = [3**m * c for m, c in enumerate(rf_series(h, 41))]
+    assert all(c.denominator == 1 for c in expected)
+    assert poincare_counts(h, 3, 40) == dense_poincare_counts(h, 3, 40) == expected
+    assert hits == [1]
+    # 1 / (3 - t) alone: H(3u) = 1 / (3 (1 - u)), so N_0 = 1/3
+    for bad in (RationalFunctionT((1,), den), RationalFunctionT((1,), (3, -1))):
+        with pytest.raises(NonIntegralCount, match="N_0 is not an integer"):
+            poincare_counts(bad, 3, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +655,7 @@ def test_settle_counts_a_class_of_constant_valuation():
     # v_2(f) = 3, so that class holds 2 solutions mod 8 and none mod 16;
     # on 4Z the valuation is not constant, so 0 is lifted further.
     counts = [1, 1, 2] + [0] * 8
-    live = counting._settle([0, 2], [0, 0, 0, 1], 2, 2, 10, counts)
+    live = counting._settle([0, 2], [0, 0, 0, 1], 2, [2**j for j in range(11)], counts)
     assert [x0 for x0, _, _ in live] == [0]
     assert counts == [1, 1, 2, 2] + [0] * 7
 
@@ -573,9 +666,9 @@ def test_hensel_step_lifts_solutions_to_solutions(monkeypatch):
     seen = []
     settle = counting._settle
 
-    def spy(survivors, coeffs, p, m, n, counts):
-        seen.append((list(survivors), coeffs, p, m))
-        return settle(survivors, coeffs, p, m, n, counts)
+    def spy(survivors, coeffs, m, powers, counts):
+        seen.append((list(survivors), coeffs, powers[1], m))
+        return settle(survivors, coeffs, m, powers, counts)
 
     monkeypatch.setattr(counting, "_settle", spy)
     for text, p, n in [("x^2 + 1", 5, 8), ("x^3 - 2", 5, 6), ("(x-3)^2*(x+4)*(x-10)", 7, 6),

@@ -293,6 +293,41 @@ def test_json_reader_rejects_missing_vertices():
         tree_from_json(doc)
 
 
+VERTEX_FIELDS = ["id", "level", "residue", "parent", "weight", "stalk_weight"]
+
+
+@pytest.mark.parametrize("field", ["p", "l_f", "root", *VERTEX_FIELDS, "children"])
+@pytest.mark.parametrize("value", [0.5, 1.7, 2.0, True, "1.5", " 2", "+2", "0x2", [2]])
+def test_json_reader_refuses_a_number_it_would_truncate(field, value):
+    def edit(vs, doc):
+        if field in doc:
+            doc[field] = value
+        elif field == "children":
+            vs[1]["children"] = [value]
+        else:
+            vs[1][field] = value
+
+    name = field if field in ("p", "l_f", "root") else f"vertex 1 {field}"
+    with pytest.raises(MalformedDocument, match=f"tree_from_json: {name} must be an integer"):
+        tree_from_json(edited_worked_json(edit))
+
+
+@pytest.mark.parametrize("value", ["1", "12", {"1": 2}, 2, None])
+def test_json_reader_refuses_children_that_are_no_list(value):
+    with pytest.raises(MalformedDocument, match="tree_from_json: vertex 1 children must be a list"):
+        tree_from_json(edited_worked_json(lambda vs, doc: vs[1].update(children=value)))
+
+
+def test_json_reader_reads_integers_and_decimal_strings_alike():
+    def as_strings(vs, doc):
+        doc.update(p=3, l_f="2", root="0")
+        for v in vs:
+            v.update({k: str(v[k]) for k in VERTEX_FIELDS if v[k] is not None})
+            v["children"] = [str(c) for c in v["children"]]
+
+    assert tree_from_json(edited_worked_json(as_strings)) == worked_tree()
+
+
 def test_dot_output():
     dot = tree_to_dot(worked_tree())
     assert dot.startswith("digraph")

@@ -694,3 +694,41 @@ def test_zeta_from_json_rejects_a_non_numeric_coefficient():
     doc = {"p": "3", "shift": 0, "terms": [{"coeff": "x", "t_pow": 0, "den_pow": 0}]}
     with pytest.raises(MalformedDocument, match="zeta_from_json"):
         zeta_from_json(doc)
+
+
+def worked_zeta_doc(edit):
+    """{"p": "3", "shift": 1, "terms": [(2/3) t / (1 - t/3)]} after edit(doc, term)."""
+    doc = {"p": "3", "shift": 1, "terms": [{"coeff": "2/3", "t_pow": 1, "den_pow": 1}]}
+    edit(doc, doc["terms"][0])
+    return doc
+
+
+@pytest.mark.parametrize("field", ["p", "shift", "t_pow", "den_pow"])
+@pytest.mark.parametrize("value", [0.5, 1.7, 1.0, True, False, None, "1.5", " 1", "+1", "0x1", [1]])
+def test_zeta_from_json_refuses_a_number_it_would_truncate(field, value):
+    def edit(doc, term):
+        (doc if field in doc else term)[field] = value
+
+    name = field if field in ("p", "shift") else f"term 0 {field}"
+    with pytest.raises(MalformedDocument, match=f"zeta_from_json: {name} must be an integer"):
+        zeta_from_json(worked_zeta_doc(edit))
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, True, None, [1]])
+def test_zeta_from_json_refuses_a_coefficient_that_is_no_string(value):
+    doc = worked_zeta_doc(lambda doc, term: term.update(coeff=value))
+    with pytest.raises(MalformedDocument, match="zeta_from_json: term 0 coeff must be"):
+        zeta_from_json(doc)
+
+
+def test_zeta_from_json_reads_integers_and_decimal_strings_alike():
+    z = zeta_from_json(worked_zeta_doc(lambda doc, term: None))
+    assert (z.ctx.p, z.shift, z.terms) == (3, 1, (ZetaTerm(2, 1, 1, 1),))
+    as_strings = worked_zeta_doc(
+        lambda doc, term: (doc.update(p=3, shift="1"), term.update(t_pow="1", den_pow="1"))
+    )
+    assert zeta_from_json(as_strings) == z
+    integral = worked_zeta_doc(lambda doc, term: term.update(coeff=2))
+    assert zeta_from_json(integral).terms == (ZetaTerm(2, 0, 1, 1),)
+    negative = worked_zeta_doc(lambda doc, term: doc.update(shift="-2"))
+    assert zeta_from_json(negative).shift == -2
