@@ -376,8 +376,8 @@ def zeta_to_json(z: ZetaFunction) -> dict:
 def zeta_from_json(doc: dict | str) -> ZetaFunction:
     """Inverse of zeta_to_json, ignoring `normalized`; each coeff n/d must have d = p**j.
 
-    The integers go through ``tree.json_int``; a coefficient must be an
-    integer or a string such as "-2/27", so a float or boolean is refused.
+    The integers go through ``tree.json_int``; a coefficient is a string
+    such as "-2/27" or an integer, so a float or boolean is refused.
     """
     try:
         if isinstance(doc, str):
@@ -385,11 +385,8 @@ def zeta_from_json(doc: dict | str) -> ZetaFunction:
         raw = []
         for i, t in enumerate(doc["terms"]):
             coeff = t["coeff"]
-            if isinstance(coeff, bool) or not isinstance(coeff, (int, str)):
-                raise MalformedDocument(
-                    f"zeta_from_json: term {i} coeff must be an integer or a string, "
-                    f"not {coeff!r:.60}"
-                )
+            if not isinstance(coeff, str):  # Fraction would take a float's binary value
+                coeff = json_int(coeff, "zeta_from_json", f"term {i} coeff")
             a, b = (json_int(t[k], "zeta_from_json", f"term {i} {k}") for k in ("t_pow", "den_pow"))
             raw.append((Fraction(coeff), a, b))
         p, shift = (json_int(doc[k], "zeta_from_json", k) for k in ("p", "shift"))
