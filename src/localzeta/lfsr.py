@@ -11,6 +11,7 @@ roots to its count sequence N_0..N_u.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from operator import mul
 
@@ -19,11 +20,11 @@ from .errors import (
     CapExceeded,
     DegenerateTaps,
     DegreeViolation,
-    InvalidPrime,
     LocalZetaError,
 )
-from .padic import PAdicContext, is_prime
+from .padic import PAdicContext
 from .polynomials import DensePoly, FactoredPoly
+from .ratfunc import _trimmed
 
 CoeffPair = tuple[tuple[int, ...], tuple[int, ...]]  # (L, R) coefficients mod p
 
@@ -33,7 +34,7 @@ PERIOD_STEP_BUDGET = 10**6  # register steps period_of may take before CapExceed
 class Lfsr:
     """Mutable register state; stepping is single-owner, everything else copies.
 
-    The modulus p must be prime (InvalidPrime otherwise).  `init` holds
+    The modulus p must be a prime int (InvalidPrime otherwise).  `init` holds
     the first r outputs a_0..a_{r-1}; the live state is the sliding window
     of the next r outputs.
     """
@@ -43,8 +44,7 @@ class Lfsr:
             raise LocalZetaError("register length must be >= 1")
         if len(init) != len(taps):
             raise LocalZetaError("state length must equal the register length")
-        if not is_prime(p):
-            raise InvalidPrime(f"modulus must be prime, got {p!r}")
+        PAdicContext(p)  # InvalidPrime unless p is a prime int
         self.p = p
         self.taps = tuple(q % p for q in taps)
         self._aligned = self.taps[::-1]  # q_r..q_1, against the window oldest first
@@ -60,7 +60,7 @@ class Lfsr:
         return self._window
 
     def copy(self) -> "Lfsr":
-        return Lfsr(self.p, self.taps, self._window)
+        return copy.copy(self)  # shares the immutable taps and window
 
     def step(self) -> int:
         """Emit the oldest cell and feed back the new element."""
@@ -127,9 +127,7 @@ def lfsr_generating_function(register: Lfsr) -> CoeffPair:
         (a[n] + sum(register.taps[i - 1] * a[n - i] for i in range(1, n + 1))) % p
         for n in range(r)
     ]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return tuple(num), den
+    return tuple(_trimmed(num)), den
 
 
 def series_mod_p(g: CoeffPair, p: int, count: int) -> list[int]:
@@ -155,22 +153,16 @@ def lfsr_from_rational(g: CoeffPair, p: int) -> Lfsr:
     degree-r denominator coefficient mod p (otherwise the sequence is
     only eventually periodic and no length-r register realizes it).
     """
-    num = [c % p for c in g[0]]
-    den = [c % p for c in g[1]]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    while len(den) > 1 and den[-1] == 0:
-        den.pop()
+    num = _trimmed([c % p for c in g[0]])
+    den = _trimmed([c % p for c in g[1]])
     r = len(den) - 1
-    if r < 1 or den[-1] == 0:
+    if r < 1:
         raise DegreeViolation("denominator must have degree >= 1 mod p")
-    if den[0] == 0:
-        raise DegreeViolation("denominator has zero constant term mod p")
+    init = series_mod_p((num, den), p, r)  # rejects a zero constant term
     if len(num) - 1 >= r and any(num):
         raise DegreeViolation("numerator degree must be below denominator degree")
     inv0 = pow(den[0], -1, p)
     taps = [den[i] * inv0 % p for i in range(1, r + 1)]
-    init = series_mod_p((num, den), p, r)
     return Lfsr(p, taps, init)
 
 

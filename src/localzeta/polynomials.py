@@ -29,7 +29,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .padic import PAdicContext, is_prime, residue, vp
-from .ratfunc import _divide_exact, _primitive, _scaled_value, poly_gcd
+from .ratfunc import _divide_exact, _primitive, _scaled_value, poly_gcd, poly_trim
 
 
 # ---------------------------------------------------------------------------
@@ -44,12 +44,7 @@ class DensePoly:
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        cs = [Fraction(c) for c in self.coefficients]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        object.__setattr__(self, "coefficients", tuple(cs))
+        object.__setattr__(self, "coefficients", tuple(poly_trim(self.coefficients)))
 
     @property
     def is_zero(self) -> bool:
@@ -154,7 +149,7 @@ def as_integer_poly(f: DensePoly | FactoredPoly) -> DensePoly:
 # parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_CHARS = {"+", "-", "*", "^", "/", "(", ")"}
+_TOKEN_CHARS = {"x", "+", "-", "*", "^", "/", "(", ")"}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -170,9 +165,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
-        elif ch == "x":
-            tokens.append(("x", ch, i))
-            i += 1
         elif ch in _TOKEN_CHARS:
             tokens.append((ch, ch, i))
             i += 1
@@ -209,13 +201,15 @@ class _Parser:
                 position,
             ) from None
 
-    def pair(self, allow_sign: bool = False) -> tuple[int, int]:
-        """The next number as a reduced pair (a, b) with b > 0, meaning a/b."""
-        sign = 1
-        if allow_sign and self.peek()[0] in ("+", "-"):
-            if self.peek()[0] == "-":
-                sign = -1
+    def sign(self) -> int:
+        """Consume an optional '+' or '-'; -1 for '-', else 1."""
+        kind = self.peek()[0]
+        if kind in ("+", "-"):
             self.pos += 1
+        return -1 if kind == "-" else 1
+
+    def pair(self) -> tuple[int, int]:
+        """The next number as a reduced pair (a, b) with b > 0, meaning a/b."""
         num, _ = self.integer("a number")
         if self.peek()[0] == "/":
             self.pos += 1
@@ -223,8 +217,8 @@ class _Parser:
             if den == 0:
                 raise ParseError("zero denominator", position)
             g = math.gcd(num, den)
-            return sign * num // g, den // g
-        return sign * num, 1
+            return num // g, den // g
+        return num, 1
 
     def exponent(self) -> int:
         self.take("^", "'^'")
@@ -233,10 +227,7 @@ class _Parser:
 
 def _parse_expression(p: _Parser) -> DensePoly:
     coeffs: dict[int, Fraction] = {}
-    sign = 1
-    if p.peek()[0] in ("+", "-"):
-        sign = -1 if p.peek()[0] == "-" else 1
-        p.pos += 1
+    sign = p.sign()
     while True:
         tok = p.peek()
         if tok[0] == "int":
@@ -257,20 +248,15 @@ def _parse_expression(p: _Parser) -> DensePoly:
         tok = p.peek()
         if tok[0] == "end":
             break
-        if tok[0] in ("+", "-"):
-            sign = -1 if tok[0] == "-" else 1
-            p.pos += 1
-        else:
+        if tok[0] not in ("+", "-"):
             raise ParseError("expected '+', '-' or end of input", tok[2])
+        sign = p.sign()
     degree = max(coeffs) if coeffs else 0
     return DensePoly(tuple(coeffs.get(k, Fraction(0)) for k in range(degree + 1)))
 
 
 def _parse_factored(p: _Parser) -> FactoredPoly:
-    sign = 1
-    if p.peek()[0] in ("+", "-"):
-        sign = -1 if p.peek()[0] == "-" else 1
-        p.pos += 1
+    sign = p.sign()
     unit = (sign, 1)
     if p.peek()[0] == "int":
         a, b = p.pair()
@@ -283,10 +269,10 @@ def _parse_factored(p: _Parser) -> FactoredPoly:
         tok = p.peek()
         if tok[0] not in ("+", "-"):
             raise ParseError("expected '-' or '+' inside factor", tok[2])
-        outer = -1 if tok[0] == "+" else 1
-        p.pos += 1
-        a, b = p.pair(allow_sign=True)
-        root = (outer * a, b)
+        outer = -p.sign()
+        inner = p.sign()
+        a, b = p.pair()
+        root = (outer * inner * a, b)
         p.take(")", "')'")
         if p.peek()[0] == "^":
             tok = p.peek()
@@ -326,16 +312,6 @@ def parse_poly(text: str) -> DensePoly | FactoredPoly:
 # ---------------------------------------------------------------------------
 # rational-root factorization
 # ---------------------------------------------------------------------------
-
-
-def _divide_linear(ints: list[int], a: int, b: int) -> list[int]:
-    """P / (b*x - a) for an integer P with P(a/b) = 0 and b*x - a primitive."""
-    quotient = [0] * (len(ints) - 1)
-    acc = 0
-    for i in range(len(ints) - 1, 0, -1):
-        acc = (ints[i] + a * acc) // b
-        quotient[i - 1] = acc
-    return quotient
 
 
 def _value_mod(ints: list[int], x: int, m: int) -> int:
@@ -417,8 +393,8 @@ def find_rational_roots(f: DensePoly) -> FactoredPoly:
         # squarefree part S = P / gcd(P, P'), whose roots mod a suitable
         # prime q are simple and so lift q-adically (see _lift_root).
         # Each rational root a/b found is divided out of P by (b*x - a);
-        # by Gauss's lemma every quotient is again a primitive integer
-        # polynomial.
+        # by Gauss's lemma the division is exact in Z[x] iff a/b is a
+        # root, and every quotient is again a primitive integer polynomial.
         work = _primitive(work)
         derivative = [i * c for i, c in enumerate(work)][1:]
         s = _divide_exact(work, poly_gcd(work, derivative))
@@ -430,9 +406,8 @@ def find_rational_roots(f: DensePoly) -> FactoredPoly:
                 continue
             a, b = root.numerator, root.denominator
             mult = 0
-            while len(work) > 1 and _scaled_value(work, a, b) == 0:
-                work = _divide_linear(work, a, b)
-                mult += 1
+            while (quotient := _divide_exact(work, [-a, b])) is not None:
+                work, mult = quotient, mult + 1
             if mult:
                 roots.append((root, mult))
     if len(work) > 1:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvariantViolation, PoleAtPoint
 
@@ -67,22 +67,13 @@ def poly_eval(a: Coeffs, x: Fraction | int) -> Fraction | int:
     return acc
 
 
-def _content(ints: Iterable[int]) -> int:
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    return g or 1
-
-
 def _primitive(coeffs: Coeffs) -> list[int]:
     """Integer multiple of coeffs with content 1 and positive leading coefficient."""
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
-    while len(ints) > 1 and ints[-1] == 0:
-        ints.pop()
-    g = _content(ints) if ints[-1] > 0 else -_content(ints)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = _trimmed([c.numerator * (lcm // c.denominator) for c in coeffs])
+    g = math.gcd(*ints) or 1
+    if ints[-1] < 0:
+        g = -g
     return [c // g for c in ints]
 
 
@@ -166,9 +157,7 @@ def make_ratfunc(num: Coeffs, den: Coeffs) -> RationalFunctionT:
         raise ZeroDivisionError("zero denominator")
     if poly_is_zero(n):
         return RationalFunctionT((0,), (1,))
-    lcm = 1
-    for c in n + d:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in n + d))
     ni = [int(c * lcm) for c in n]
     di = [int(c * lcm) for c in d]
     g = poly_gcd(ni, di)
@@ -178,7 +167,7 @@ def make_ratfunc(num: Coeffs, den: Coeffs) -> RationalFunctionT:
         if qn is None or qd is None:
             raise InvariantViolation("make_ratfunc: the gcd does not divide exactly in Z[x]")
         ni, di = qn, qd
-    scale = math.gcd(_content(ni), _content(di))
+    scale = math.gcd(*ni, *di)
     if next(x for x in di if x != 0) < 0:
         scale = -scale
     ni = [x // scale for x in ni]

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import localzeta.lfsr
+import localzeta.padic
 from localzeta import (
     CapExceeded,
     DegenerateTaps,
@@ -33,6 +34,31 @@ def test_register_modulus_must_be_prime():
     for p in (0, 1, 4, 318665857834031151167461):
         with pytest.raises(InvalidPrime):
             Lfsr(p, (1,), (1,))
+
+
+def test_register_modulus_must_be_an_int():
+    # is_prime(3.0) holds, but a float register would step in floats
+    with pytest.raises(InvalidPrime, match="got 3.0"):
+        Lfsr(3.0, [1, 2], [1, 0])
+
+
+def test_register_copy_does_not_prove_the_prime_again(monkeypatch):
+    calls = []
+    is_prime = localzeta.padic.is_prime
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(localzeta.padic, "is_prime", counting_is_prime)
+    monkeypatch.setattr(localzeta.lfsr, "is_prime", counting_is_prime, raising=False)
+    register = Lfsr(1000003, (2, 3, 5), (1, 0, 0))
+    assert calls == [1000003]
+    clone = register.copy()
+    assert calls == [1000003]
+    assert clone == register
+    assert lfsr_run(clone, 5) == recurrence_oracle(1000003, (2, 3, 5), (1, 0, 0), 5)
+    assert register.state == (1, 0, 0)
 
 
 def test_run_binary_fibonacci():

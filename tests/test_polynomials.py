@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localzeta import (
@@ -13,6 +13,7 @@ from localzeta import (
     DensePoly,
     FactoredPoly,
     IntegralityError,
+    LocalZetaError,
     NegativeValuation,
     PAdicContext,
     ParseError,
@@ -180,6 +181,29 @@ def test_parse_factored_matches_a_fraction_reference(case):
     assert isinstance(f, FactoredPoly)
     assert f.unit == unit
     assert f.roots == tuple(sorted(roots.items()))
+
+
+# the token characters, blanks, a non-ASCII decimal digit that int() reads,
+# and two characters the tokenizer must reject
+PARSER_ALPHABET = list("x0123456789+-*^/() \t") + ["\u0663", "\u00b2", "y"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text(st.sampled_from(PARSER_ALPHABET), max_size=20))
+@example("")
+@example("x^")
+@example("-0*(x - 1)")
+@example(" - 2 * ( x - - 1/2 ) ^ 2 * ( x + \u0663 ) ")
+@example("+ x ^ 2 - - 1")
+def test_parse_gives_a_polynomial_or_a_domain_error(text):
+    try:
+        f = parse_poly(text)
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
+    except LocalZetaError as err:
+        assert isinstance(err, ZeroPolynomial)
+    else:
+        assert isinstance(f, (DensePoly, FactoredPoly))
 
 
 # ---------------------------------------------------------------------------
