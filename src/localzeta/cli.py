@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
                          methods=("tree", "spf"), formats=("text", "json")):
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(handler=handler)
-        cmd.add_argument("--poly", required=True, help="polynomial text")
+        cmd.add_argument("--poly", required=True,
+                         help="polynomial text; one that starts with '-' goes in as --poly=-x^2+1")
         cmd.add_argument("--prime", required=True, type=int)
         if max_m_flag:
             cmd.add_argument(max_m_flag, dest="max_m", type=int, required=True)

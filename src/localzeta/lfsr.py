@@ -152,7 +152,9 @@ def lfsr_from_rational(g: CoeffPair, p: int) -> Lfsr:
     Requires deg(numerator) < deg(denominator) = r with a nonzero
     degree-r denominator coefficient mod p (otherwise the sequence is
     only eventually periodic and no length-r register realizes it).
+    A modulus that is no prime int raises InvalidPrime before any of these.
     """
+    PAdicContext(p)
     num = _trimmed([c % p for c in g[0]])
     den = _trimmed([c % p for c in g[1]])
     r = len(den) - 1

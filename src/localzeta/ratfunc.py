@@ -229,7 +229,7 @@ def rf_series(r: RationalFunctionT, count: int) -> list[Fraction]:
     return out
 
 
-def poly_format(coeffs: Sequence[int], var: str = "t") -> str:
+def poly_format(coeffs: Sequence[int]) -> str:
     """Human-readable polynomial, lowest degree first: e.g. '5 - t + 2*t^3'."""
     if poly_is_zero(coeffs):
         return "0"
@@ -241,9 +241,9 @@ def poly_format(coeffs: Sequence[int], var: str = "t") -> str:
         if k == 0:
             body = f"{mag}"
         elif k == 1:
-            body = var if mag == 1 else f"{mag}*{var}"
+            body = "t" if mag == 1 else f"{mag}*t"
         else:
-            body = f"{var}^{k}" if mag == 1 else f"{mag}*{var}^{k}"
+            body = f"t^{k}" if mag == 1 else f"{mag}*t^{k}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -251,11 +251,11 @@ def poly_format(coeffs: Sequence[int], var: str = "t") -> str:
     return " ".join(parts)
 
 
-def rf_format(r: RationalFunctionT, var: str = "t") -> str:
-    num = poly_format(r.numerator, var)
+def rf_format(r: RationalFunctionT) -> str:
+    num = poly_format(r.numerator)
     if r.denominator == (1,):
         return num
-    den = poly_format(r.denominator, var)
+    den = poly_format(r.denominator)
     if len(r.numerator) > 1:
         num = f"({num})"
     if len(r.denominator) > 1 or r.denominator[0] < 0:

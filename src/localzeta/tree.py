@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import accumulate
 
 from .errors import MalformedDocument
 from .padic import PAdicContext
@@ -61,21 +62,26 @@ def build_tree(fplus: FactoredPoly, ctx: PAdicContext, l_f: int) -> WeightedTree
     Every root must have v_p >= 0 (reduce first).  Each root is reduced
     once modulo p**(l_f + 1) and each level takes that residue modulo p**m,
     so rational roots with denominators coprime to p are handled exactly.
-    One pass per level gives the ids (after the level above, residues
-    ascending), the parent (from the level above's residue-to-id map) and
-    the stalk weight (weight plus the parent's stalk weight).
     """
     if l_f < 1:
         raise ValueError("separation depth must be >= 1")
-    p = ctx.p
-    depth = l_f + 1
-    tops = [(residue_mod(root, ctx, depth), mult) for root, mult in fplus.roots]
+    return _tree_of([(residue_mod(r, ctx, l_f + 1), m) for r, m in fplus.roots], ctx, l_f)
+
+
+def _tree_of(tops: list[tuple[int, int]], ctx: PAdicContext, l_f: int) -> WeightedTree:
+    """The tree of the (residue mod p**(l_f + 1), multiplicity) pairs tops.
+
+    One pass per level gives the ids (after the level above, residues
+    ascending), the parent (from the level above's residue-to-id map) and
+    the stalk weight (weight plus the parent's stalk weight).  Without
+    tops the tree is its root alone, whatever l_f.
+    """
     # (level, residue, parent, weight, stalk weight) per id, children per id
     rows: list[tuple[int, int, int | None, int, int]] = [(0, 0, None, 0, 0)]
     children: list[list[int]] = [[]]
     above = {0: 0}
-    for m in range(1, depth + 1):
-        modulus, up = p**m, p ** (m - 1)
+    for m in range(1, l_f + 2 if tops else 1):
+        modulus, up = ctx.p**m, ctx.p ** (m - 1)
         weights: dict[int, int] = {}
         for top, mult in tops:
             residue = top % modulus
@@ -170,7 +176,13 @@ def _json_vertex(i: int, v: dict) -> Vertex:
 
 
 def tree_from_json(doc: dict | str) -> WeightedTree:
-    """Inverse of tree_to_json; a document that is no residue tree is rejected."""
+    """Inverse of tree_to_json: the document must be the tree of its leaves.
+
+    The level-(l_f + 1) vertices name the roots mod p**(l_f + 1) and their
+    weights the multiplicities, which fix every other vertex.  The reader
+    rebuilds the tree from them with build_tree's level pass and rejects a
+    document that differs from it, naming the first field that does.
+    """
     try:
         if isinstance(doc, str):
             doc = json.loads(doc)
@@ -178,97 +190,38 @@ def tree_from_json(doc: dict | str) -> WeightedTree:
         p, l_f, root = (json_int(doc[k], "tree_from_json", k) for k in ("p", "l_f", "root"))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"tree_from_json: {exc!r}") from exc
-    problem = (
-        _link_problem(vertices, root)
-        or _residue_problem(vertices, p)
-        or _depth_problem(vertices, l_f)
-    )
+    ctx = PAdicContext(p)
+    leaves = [(i, v) for i, v in enumerate(vertices) if v.level == l_f + 1]
+    light = [f"leaf {i} has weight {v.weight}, below 1" for i, v in leaves if v.weight < 1]
+    # level m of the tree of the leaves has one vertex per class mod p**m
+    levels = (len({v.residue % q for _, v in leaves}) for q in (p**m for m in range(1, l_f + 2)))
+    if l_f < 1:
+        problem = f"l_f = {l_f} must be >= 1"
+    elif light:
+        problem = light[0]
+    elif leaves and any(size > len(vertices) for size in accumulate(levels, initial=1)):
+        # each level adds a vertex or more, so any() stops within len(vertices) levels
+        problem = f"the tree of the leaves has more than the document's {len(vertices)} vertices"
+    elif root != 0:
+        problem = f"root {root} must be 0"
+    else:
+        tree = _tree_of([(v.residue, v.weight) for _, v in leaves], ctx, l_f)
+        problem = vertices != tree.vertices and _first_difference(vertices, tree.vertices)
     if problem:
         raise MalformedDocument(f"tree_from_json: {problem}")
-    return WeightedTree(ctx=PAdicContext(p), l_f=l_f, vertices=vertices, root=root)
+    return tree
 
 
-def _link_problem(vertices: tuple[Vertex, ...], root: int) -> str | None:
-    """What keeps the vertices from forming a weighted tree, or None.
-
-    The evaluator indexes vertices by id and reads a weight-1 vertex as the
-    first on its stalk when its parent's weight is not 1, which needs the
-    weights not to grow below level 1 and the root to weigh 0.  Levels
-    fall by one along each parent link, so every walk up the parents ends
-    at the one parentless vertex, the root.
-    """
-    n = len(vertices)
-    for i, v in enumerate(vertices):
-        if v.id != i:
-            return f"vertex {i} has id {v.id}; ids must be 0..{n - 1} in order"
-    if not 0 <= root < n:
-        return f"root {root} is not a vertex id"
-    found: list[list[int]] = [[] for _ in vertices]
-    for v in vertices:
-        if v.parent is None:
-            if v.id != root:
-                return f"vertex {v.id} has no parent but is not the root {root}"
-            if v.level != 0 or v.weight != 0 or v.stalk_weight != 0:
-                return f"root {root} must have level, weight and stalk weight 0"
-            continue
-        if not 0 <= v.parent < n:
-            return f"vertex {v.id} has parent {v.parent}, which is not a vertex id"
-        found[v.parent].append(v.id)
-        parent = vertices[v.parent]
-        if v.level != parent.level + 1:
-            return f"vertex {v.id} is at level {v.level} below a level-{parent.level} parent"
-        if v.level > 1 and v.weight > parent.weight:
-            return f"vertex {v.id} has weight {v.weight} above its parent's {parent.weight}"
-        if v.stalk_weight != v.weight + parent.stalk_weight:
-            return (
-                f"vertex {v.id} has stalk weight {v.stalk_weight}, not its weight "
-                f"{v.weight} plus its parent's stalk weight {parent.stalk_weight}"
-            )
-    for v, kids in zip(vertices, found):
-        if list(v.children) != kids:
-            return f"vertex {v.id} has children {list(v.children)}, but is the parent of {kids}"
-    return None
-
-
-def _residue_problem(vertices: tuple[Vertex, ...], p: int) -> str | None:
-    """What keeps the residues from naming residue classes, or None.
-
-    A level-m vertex is a class mod p**m: its residue lies in [0, p**m),
-    reduces mod p**(m-1) to its parent's, and differs from its siblings'.
-    The links are checked first, so every level is the vertex's depth.
-    """
-    seen: dict[tuple[int | None, int], int] = {}
-    for v in vertices:
-        if not 0 <= v.residue < p**v.level:
-            return f"vertex {v.id} has residue {v.residue}, not in [0, {p}^{v.level})"
-        if v.parent is not None:
-            parent = vertices[v.parent]
-            if (v.residue - parent.residue) % p**parent.level:
-                return (
-                    f"vertex {v.id} has residue {v.residue}, not its parent's "
-                    f"{parent.residue} mod {p}^{parent.level}"
-                )
-        twin = seen.setdefault((v.parent, v.residue), v.id)
-        if twin != v.id:
-            return f"vertex {v.id} has the residue {v.residue} of its sibling {twin}"
-    return None
-
-
-def _depth_problem(vertices: tuple[Vertex, ...], l_f: int) -> str | None:
-    """What keeps l_f from being the tree's separation depth, or None.
-
-    Every root has a residue at each level 1..l_f+1, so every vertex lies
-    at level l_f+1 or has a child; the evaluator reads a vertex as inner
-    or top by its level alone.  A tree of no roots is its root alone.
-    """
-    if l_f < 1:
-        return f"l_f = {l_f} must be >= 1"
-    top = l_f + 1
-    for v in vertices:
-        if v.level > top:
-            return f"vertex {v.id} lies at level {v.level}, deeper than l_f + 1 = {top}"
-        if not v.children and v.level < top and len(vertices) > 1:
-            return f"leaf {v.id} lies at level {v.level}, above l_f + 1 = {top}"
+def _first_difference(doc: tuple[Vertex, ...], built: tuple[Vertex, ...]) -> str | None:
+    """The first field in which the document's vertices differ from the built ones."""
+    if len(doc) != len(built):
+        return f"the document has {len(doc)} vertices, but the tree of the leaves has {len(built)}"
+    for i, (v, w) in enumerate(zip(doc, built)):
+        for f in fields(Vertex):
+            mine, theirs = (json.dumps(getattr(u, f.name)) for u in (v, w))
+            if mine != theirs:
+                name = f.name.replace("_", " ")
+                return f"vertex {i} has {name} {mine}, but the tree of the leaves has {theirs}"
     return None
 
 

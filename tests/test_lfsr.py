@@ -192,6 +192,18 @@ def test_round_trip_random():
         assert back.state == register.state
 
 
+@pytest.mark.parametrize("g, p", [
+    (((1,), (2, 1)), 4),
+    (((1,), (1, 1)), 3.0),
+    (((1,), (1, 1)), 1),
+])
+def test_from_rational_checks_the_modulus_first(g, p):
+    # unchecked, each would fail elsewhere: in the inverse mod 4 (ValueError),
+    # in pow with a float (TypeError), or as a zero denominator mod 1
+    with pytest.raises(InvalidPrime):
+        lfsr_from_rational(g, p)
+
+
 def test_from_rational_degree_guard():
     with pytest.raises(DegreeViolation):
         lfsr_from_rational(((1, 1), (1, 1)), 2)

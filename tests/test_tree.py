@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from localzeta import (
     FactoredPoly,
@@ -10,8 +12,12 @@ from localzeta import (
     PAdicContext,
     build_tree,
     compute_lf,
+    generating_function,
+    normalize,
     parse_poly,
     reduce_to_integral_roots,
+    rf_equal,
+    spf_eval,
     tree_from_json,
     tree_to_dot,
     tree_to_json,
@@ -237,28 +243,74 @@ def edited_worked_json(edit):
     return doc
 
 
+# Each case keeps the name it has always been listed by: the fault as the
+# reader's earlier per-rule checks worded it.
+BROKEN_TREE_NAMES = [
+    "vertex 2 has id 7",
+    "vertex 0 has id 5",
+    "root 7 is not a vertex id",
+    "vertex 0 has no parent but is not the root 1",
+    "vertex 1 has no parent",
+    "root 0 must have level",
+    "root 0 must have level",
+    "vertex 4 has parent 42",
+    "vertex 4 has parent -1",
+    r"vertex 1 has children \[42\]",
+    r"vertex 1 has children \[2\]",
+    r"vertex 1 has children \[3, 2\]",
+    "vertex 4 is at level 3",
+    "vertex 3 has weight 4 above",
+    "vertex 5 has stalk weight 6",
+    r"vertex 1 has residue 99, not in \[0, 3\^1\)",
+    r"vertex 2 has residue -5, not in \[0, 3\^2\)",
+    r"vertex 3 has residue 2, not its parent's 1 mod 3\^1",
+    "vertex 3 has the residue 1 of its sibling 2",
+]
+WRONG_L_F_NAMES = [
+    (0, "l_f = 0 must be >= 1"),
+    (-2, "l_f = -2 must be >= 1"),
+    (1, r"vertex 4 lies at level 3, deeper than l_f \+ 1 = 2"),
+    (3, r"leaf 4 lies at level 3, above l_f \+ 1 = 4"),
+    (7, r"leaf 4 lies at level 3, above l_f \+ 1 = 8"),
+]
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda vs, doc: vs[2].update(id=7), "vertex 2 has id 7"),
-    (lambda vs, doc: vs.reverse(), "vertex 0 has id 5"),
-    (lambda vs, doc: doc.update(root=7), "root 7 is not a vertex id"),
-    (lambda vs, doc: doc.update(root=1), "vertex 0 has no parent but is not the root 1"),
-    (lambda vs, doc: vs[1].update(parent=None), "vertex 1 has no parent"),
-    (lambda vs, doc: vs[0].update(level=1), "root 0 must have level"),
-    (lambda vs, doc: vs[0].update(weight=1, stalk_weight=1), "root 0 must have level"),
-    (lambda vs, doc: vs[4].update(parent=42), "vertex 4 has parent 42"),
-    (lambda vs, doc: vs[4].update(parent=-1), "vertex 4 has parent -1"),
-    (lambda vs, doc: vs[1].update(children=[42]), r"vertex 1 has children \[42\]"),
-    (lambda vs, doc: vs[1].update(children=[2]), r"vertex 1 has children \[2\]"),
-    (lambda vs, doc: vs[1].update(children=[3, 2]), r"vertex 1 has children \[3, 2\]"),
-    (lambda vs, doc: vs[4].update(parent=1), "vertex 4 is at level 3"),
-    (lambda vs, doc: vs[3].update(weight=4, stalk_weight=7), "vertex 3 has weight 4 above"),
-    (lambda vs, doc: vs[5].update(stalk_weight=6), "vertex 5 has stalk weight 6"),
-    (lambda vs, doc: vs[1].update(residue="99"), r"vertex 1 has residue 99, not in \[0, 3\^1\)"),
-    (lambda vs, doc: vs[2].update(residue="-5"), r"vertex 2 has residue -5, not in \[0, 3\^2\)"),
+    (lambda vs, doc: vs[2].update(id=7), "vertex 2 has id 7, but the tree of the leaves has 2$"),
+    (lambda vs, doc: vs.reverse(), "vertex 0 has id 5, but the tree of the leaves has 0$"),
+    (lambda vs, doc: doc.update(root=7), "root 7 must be 0$"),
+    (lambda vs, doc: doc.update(root=1), "root 1 must be 0$"),
+    (lambda vs, doc: vs[1].update(parent=None),
+     "vertex 1 has parent null, but the tree of the leaves has 0$"),
+    (lambda vs, doc: vs[0].update(level=1),
+     "vertex 0 has level 1, but the tree of the leaves has 0$"),
+    (lambda vs, doc: vs[0].update(weight=1, stalk_weight=1),
+     "vertex 0 has weight 1, but the tree of the leaves has 0$"),
+    (lambda vs, doc: vs[4].update(parent=42),
+     "vertex 4 has parent 42, but the tree of the leaves has 2$"),
+    (lambda vs, doc: vs[4].update(parent=-1),
+     "vertex 4 has parent -1, but the tree of the leaves has 2$"),
+    (lambda vs, doc: vs[1].update(children=[42]),
+     r"vertex 1 has children \[42\], but the tree of the leaves has \[2, 3\]$"),
+    (lambda vs, doc: vs[1].update(children=[2]),
+     r"vertex 1 has children \[2\], but the tree of the leaves has \[2, 3\]$"),
+    (lambda vs, doc: vs[1].update(children=[3, 2]),
+     r"vertex 1 has children \[3, 2\], but the tree of the leaves has \[2, 3\]$"),
+    (lambda vs, doc: vs[4].update(parent=1),
+     "vertex 4 has parent 1, but the tree of the leaves has 2$"),
+    (lambda vs, doc: vs[3].update(weight=4, stalk_weight=7),
+     "vertex 3 has weight 4, but the tree of the leaves has 1$"),
+    (lambda vs, doc: vs[5].update(stalk_weight=6),
+     "vertex 5 has stalk weight 6, but the tree of the leaves has 5$"),
+    (lambda vs, doc: vs[1].update(residue="99"),
+     "vertex 1 has residue 99, but the tree of the leaves has 1$"),
+    (lambda vs, doc: vs[2].update(residue="-5"),
+     "vertex 2 has residue -5, but the tree of the leaves has 1$"),
     (lambda vs, doc: vs[3].update(residue="2"),
-     r"vertex 3 has residue 2, not its parent's 1 mod 3\^1"),
-    (lambda vs, doc: vs[3].update(residue="1"), "vertex 3 has the residue 1 of its sibling 2"),
-])
+     "vertex 3 has residue 2, but the tree of the leaves has 4$"),
+    (lambda vs, doc: vs[3].update(residue="1"),
+     "vertex 3 has residue 1, but the tree of the leaves has 4$"),
+], ids=["<lambda>-" + name for name in BROKEN_TREE_NAMES])
 def test_json_reader_rejects_a_broken_tree(edit, message):
     with pytest.raises(MalformedDocument, match="tree_from_json: " + message):
         tree_from_json(edited_worked_json(edit))
@@ -267,14 +319,29 @@ def test_json_reader_rejects_a_broken_tree(edit, message):
 @pytest.mark.parametrize("l_f, message", [
     (0, "l_f = 0 must be >= 1"),
     (-2, "l_f = -2 must be >= 1"),
-    (1, "vertex 4 lies at level 3, deeper than l_f \\+ 1 = 2"),
-    (3, "leaf 4 lies at level 3, above l_f \\+ 1 = 4"),
-    (7, "leaf 4 lies at level 3, above l_f \\+ 1 = 8"),
-])
+    (1, "the document has 6 vertices, but the tree of the leaves has 4$"),
+    (3, "the document has 6 vertices, but the tree of the leaves has 1$"),
+    (7, "the document has 6 vertices, but the tree of the leaves has 1$"),
+], ids=[f"{l_f}-{name}" for l_f, name in WRONG_L_F_NAMES])
 def test_json_reader_rejects_a_wrong_l_f(l_f, message):
     # the worked tree has l_f = 2: every leaf lies at level 3
     with pytest.raises(MalformedDocument, match="tree_from_json: " + message):
         tree_from_json(edited_worked_json(lambda vs, doc: doc.update(l_f=l_f)))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda vs, doc: vs[4].update(weight=0), "leaf 4 has weight 0, below 1$"),
+    (lambda vs, doc: vs[5].update(weight=-3), "leaf 5 has weight -3, below 1$"),
+    (lambda vs, doc: (doc.update(l_f=10**6), vs[5].update(level=10**6 + 1)),
+     "the tree of the leaves has more than the document's 6 vertices$"),
+    (lambda vs, doc: doc.update(l_f=10**6),
+     "the document has 6 vertices, but the tree of the leaves has 1$"),
+])
+def test_json_reader_refuses_a_leaf_it_cannot_rebuild_from(edit, message):
+    # the tree of the leaves is counted against the document's size before it
+    # is built, and without leaves it is the root alone: a huge l_f builds nothing
+    with pytest.raises(MalformedDocument, match="tree_from_json: " + message):
+        tree_from_json(edited_worked_json(edit))
 
 
 def test_json_round_trip_of_the_root_alone():
@@ -326,6 +393,65 @@ def test_json_reader_reads_integers_and_decimal_strings_alike():
             v["children"] = [str(c) for c in v["children"]]
 
     assert tree_from_json(edited_worked_json(as_strings)) == worked_tree()
+
+
+@st.composite
+def edited_tree_documents(draw):
+    """tree_to_json of random roots (a tower among them) after one or two edits."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    roots = draw(st.dictionaries(st.integers(-30, 30), st.integers(1, 3), max_size=4))
+    if roots and draw(st.booleans()):
+        tower = min(roots) + p ** draw(st.integers(1, 12))
+        roots.setdefault(tower, draw(st.integers(1, 3)))
+    f = FactoredPoly(F(1), tuple((F(r), mult) for r, mult in roots.items()))
+    ctx = PAdicContext(p)
+    doc = tree_to_json(build_tree(f, ctx, compute_lf(f, ctx)))
+    vs = doc["vertices"]
+    small = st.integers(-1, max(len(vs), p) + 1)
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["vertex", "l_f", "root", "order"]))
+        if kind == "vertex":
+            v = vs[draw(st.integers(0, len(vs) - 1))]
+            field = draw(st.sampled_from([*VERTEX_FIELDS, "children"]))
+            if field == "children":
+                v[field] = draw(st.lists(small, max_size=3))
+            elif field == "parent":
+                v[field] = draw(st.none() | small)
+            else:
+                v[field] = draw(small) if field != "residue" else str(draw(small))
+        elif kind == "l_f":
+            doc["l_f"] += draw(st.integers(-2, 3))
+        elif kind == "root":
+            doc["root"] = draw(small)
+        elif draw(st.booleans()):
+            vs.reverse()
+        else:
+            i, j = draw(st.integers(0, len(vs) - 1)), draw(st.integers(0, len(vs) - 1))
+            vs[i], vs[j] = vs[j], vs[i]
+    return doc
+
+
+def raise_vertex_1_to_weight_5(vs, doc):
+    # the inner weights no longer add up to the leaves' 2 + 1, but every
+    # stalk weight is the sum of the weights above it
+    vs[1]["weight"] = 5
+    for v, stalk in zip(vs[1:], [5, 7, 6, 9, 7]):
+        v["stalk_weight"] = stalk
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(edited_tree_documents())
+@example(edited_worked_json(raise_vertex_1_to_weight_5))
+def test_json_reader_accepts_only_the_tree_of_its_leaves(doc):
+    # a document is read as a tree or refused; a tree it gives has the Z of
+    # the roots its level-(l_f + 1) vertices name
+    try:
+        tree = tree_from_json(doc)
+    except MalformedDocument:
+        return
+    leaves = tuple((F(v.residue), v.weight) for v in tree.vertices if v.level == tree.l_f + 1)
+    z_tree = normalize(generating_function(tree))
+    assert rf_equal(z_tree, normalize(spf_eval(leaves, tree.ctx)))
 
 
 def test_dot_output():
