@@ -45,10 +45,17 @@ class Lfsr:
         if len(init) != len(taps):
             raise LocalZetaError("state length must equal the register length")
         PAdicContext(p)  # InvalidPrime unless p is a prime int
+        self._load(p, taps, init)
+
+    def _load(
+        self, p: int, taps: list[int] | tuple[int, ...], init: list[int] | tuple[int, ...]
+    ) -> "Lfsr":
+        """Set the register from checked arguments: p proved prime, len(init) == len(taps) >= 1."""
         self.p = p
         self.taps = tuple(q % p for q in taps)
         self._aligned = self.taps[::-1]  # q_r..q_1, against the window oldest first
         self._window = tuple(a % p for a in init)
+        return self
 
     @property
     def r(self) -> int:
@@ -165,7 +172,7 @@ def lfsr_from_rational(g: CoeffPair, p: int) -> Lfsr:
         raise DegreeViolation("numerator degree must be below denominator degree")
     inv0 = pow(den[0], -1, p)
     taps = [den[i] * inv0 % p for i in range(1, r + 1)]
-    return Lfsr(p, taps, init)
+    return Lfsr.__new__(Lfsr)._load(p, taps, init)  # p is proved above
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import MalformedDocument
 from .padic import PAdicContext
@@ -28,8 +29,9 @@ from .padic import residue as residue_mod
 from .polynomials import FactoredPoly
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
+    """One residue class mod p**level; a tuple of its seven fields."""
+
     id: int
     level: int
     residue: int
@@ -217,12 +219,20 @@ def _first_difference(doc: tuple[Vertex, ...], built: tuple[Vertex, ...]) -> str
     if len(doc) != len(built):
         return f"the document has {len(doc)} vertices, but the tree of the leaves has {len(built)}"
     for i, (v, w) in enumerate(zip(doc, built)):
-        for f in fields(Vertex):
-            mine, theirs = (json.dumps(getattr(u, f.name)) for u in (v, w))
+        for field, mine, theirs in zip(Vertex._fields, v, w):
             if mine != theirs:
-                name = f.name.replace("_", " ")
+                name = field.replace("_", " ")
+                mine, theirs = _shown(mine), _shown(theirs)
                 return f"vertex {i} has {name} {mine}, but the tree of the leaves has {theirs}"
     return None
+
+
+def _shown(value: object) -> str:
+    """value as JSON text, or a note when it is an int past the int-to-str digit limit."""
+    try:
+        return json.dumps(value)
+    except ValueError:
+        return "a number past the int-to-str digit limit"
 
 
 def tree_to_dot(tree: WeightedTree) -> str:

@@ -27,7 +27,10 @@ negated shift (when negative).  Each t**b - p is Eisenstein at p, hence
 irreducible over Q, and distinct b give distinct factors, so the
 denominator's factorisation is known and its gcd with num needs no
 Euclid: one exact division by each p - t**b that divides num, and
-min(k, ord_t num) powers of t.
+min(k, ord_t num) powers of t.  num itself is the sum of the per-den_pow
+buckets, each times every binomial but its own; ``_combined`` folds the
+buckets in Horner fashion, k(k+1)/2 binomial products for k den_pows in
+place of k**2.
 """
 
 from __future__ import annotations
@@ -116,8 +119,8 @@ def generating_function(tree: WeightedTree, shift: int = 0) -> ZetaFunction:
                 terms.append(ZetaTerm(p - 1, v.level + 1, v.stalk_weight, 1))
         elif v.level == top:
             terms.append(ZetaTerm(p - 1, v.level + 1, v.stalk_weight, v.weight))
-        elif v.valence != p:  # Val = 0 only at the root of no roots, where p/p is 1
-            c, j = (p - v.valence, v.level + 1) if v.valence else (1, v.level)
+        elif (valence := len(v.children)) != p:  # 0 only at the root of no roots, where p/p is 1
+            c, j = (p - valence, v.level + 1) if valence else (1, v.level)
             terms.append(ZetaTerm(c, j, v.stalk_weight, 0))
     return ZetaFunction(ctx=tree.ctx, shift=shift, terms=tuple(terms))
 
@@ -230,7 +233,12 @@ def _combined(z: ZetaFunction) -> tuple[list[int], int, int, list[int]]:
 
     The coefficients are brought to their common scale p**max(j), each
     factor 1 - t**b/p is written (p - t**b)/p, and the terms are summed
-    per den_pow before the bucket is multiplied by the other factors.
+    per den_pow.  For den_pows b_1 < ... < b_k the buckets are folded in
+    Horner fashion: num starts as the den_pow-0 bucket, and step i sets
+    num = num * (p - t**b_i) + bucket_i * prod_{l<i} (p - t**b_l).  So num
+    takes each binomial once and bucket i takes i - 1 of them, k(k+1)/2
+    binomial products in all where multiplying each bucket by every other
+    factor takes k**2.
     """
     p = z.ctx.p
     bs = sorted({t.den_pow for t in z.terms if t.den_pow})
@@ -241,12 +249,12 @@ def _combined(z: ZetaFunction) -> tuple[list[int], int, int, list[int]]:
         if len(bucket) <= term.t_pow:
             bucket.extend([0] * (term.t_pow + 1 - len(bucket)))
         bucket[term.t_pow] += c * p if term.den_pow else c
-    num: list[int] = []
-    for b, part in buckets.items():
-        for other in bs:
-            if other != b:
-                part = _mul_binomial(part, p, other)
-        num = [x + y for x, y in zip_longest(num, part, fillvalue=0)]
+    num = buckets[0]
+    for i, b in enumerate(bs):
+        part = buckets[b]
+        for before in bs[:i]:
+            part = _mul_binomial(part, p, before)
+        num = [x + y for x, y in zip_longest(_mul_binomial(num, p, b), part, fillvalue=0)]
     if z.shift >= 0:
         return [0] * z.shift + num, scale, 0, bs
     return num, scale, -z.shift, bs
@@ -323,20 +331,33 @@ def poincare(z: ZetaFunction) -> RationalFunctionT:
 # ---------------------------------------------------------------------------
 
 
-def _coeffs(z: ZetaFunction) -> dict[tuple[int, int], Fraction]:
-    """Each distinct coefficient c/p**j of z as a Fraction, formed once to print it."""
+def _coeffs(z: ZetaFunction) -> dict[tuple[int, int], tuple[str, str]]:
+    """Each distinct coefficient c/p**j of z as text: bare, and as a factor.
+
+    A Fraction is formed once per distinct coefficient, to print it in
+    lowest terms; the factor text is parenthesised when the coefficient is
+    a fraction or negative.
+    """
     p = z.ctx.p
-    return {(c, j): Fraction(c, p**j) for c, j in {(t.c, t.j) for t in z.terms}}
+    texts = {}
+    for c, j in {(t.c, t.j) for t in z.terms}:
+        q = Fraction(c, p**j)
+        bare = str(q)
+        texts[c, j] = bare, f"({bare})" if q.denominator != 1 or q < 0 else bare
+    return texts
 
 
-def term_text(term: ZetaTerm, c: Fraction, p: int) -> str:
-    """One term with coefficient c in t = p**(-s) notation, e.g. '(2/27)*t^4 / (1 - t/3)'."""
+def term_text(term: ZetaTerm, coeff: tuple[str, str], p: int) -> str:
+    """One term in t = p**(-s) notation, e.g. '(2/27)*t^4 / (1 - t/3)'.
+
+    coeff is the (bare, factor) text of the term's coefficient from ``_coeffs``.
+    """
+    bare, factor = coeff
     if term.t_pow == 0:
-        body = f"{c}"
+        body = bare
     else:
-        coeff = f"({c})" if c.denominator != 1 or c < 0 else f"{c}"
         power = "t" if term.t_pow == 1 else f"t^{term.t_pow}"
-        body = f"{coeff}*{power}"
+        body = f"{factor}*{power}"
     if term.den_pow == 0:
         return body
     tb = "t" if term.den_pow == 1 else f"t^{term.den_pow}"
@@ -363,7 +384,7 @@ def zeta_to_json(z: ZetaFunction) -> dict:
         "p": str(z.ctx.p),
         "shift": z.shift,
         "terms": [
-            {"coeff": str(coeffs[t.c, t.j]), "t_pow": t.t_pow, "den_pow": t.den_pow}
+            {"coeff": coeffs[t.c, t.j][0], "t_pow": t.t_pow, "den_pow": t.den_pow}
             for t in z.terms
         ],
         "normalized": {

@@ -61,6 +61,22 @@ def test_register_copy_does_not_prove_the_prime_again(monkeypatch):
     assert register.state == (1, 0, 0)
 
 
+def test_from_rational_proves_the_prime_once(monkeypatch):
+    calls = []
+    is_prime = localzeta.padic.is_prime
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(localzeta.padic, "is_prime", counting_is_prime)
+    register = Lfsr(1000003, (2, 3, 5), (1, 0, 0))
+    calls.clear()
+    back = lfsr_from_rational(lfsr_generating_function(register), 1000003)
+    assert calls == [1000003]
+    assert back == register
+
+
 def test_run_binary_fibonacci():
     register = Lfsr(2, (1, 1), (0, 1))
     assert lfsr_run(register, 8) == [0, 1, 1, 0, 1, 1, 0, 1]

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -342,6 +343,24 @@ def test_json_reader_refuses_a_leaf_it_cannot_rebuild_from(edit, message):
     # is built, and without leaves it is the root alone: a huge l_f builds nothing
     with pytest.raises(MalformedDocument, match="tree_from_json: " + message):
         tree_from_json(edited_worked_json(edit))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_json_reader_names_a_rebuilt_value_past_the_digit_limit():
+    # the leaf -1 rebuilds as 3^1342 - 1, of 641 digits, while no residue left
+    # in the document has more than 640, so the document reads under that limit
+    doc = tree_to_json(build_tree(FactoredPoly(1, ((-1, 2),)), PAdicContext(3), 1341))
+    doc["vertices"][-1]["residue"] = "-1"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(MalformedDocument, match=(
+            "tree_from_json: vertex 1342 has residue -1, but the tree of the leaves "
+            "has a number past the int-to-str digit limit$"
+        )):
+            tree_from_json(doc)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_json_round_trip_of_the_root_alone():

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import localzeta
@@ -583,11 +583,21 @@ def cancelled_factors(z, rf):
     return lost
 
 
+# den_pows {1, 2, 3, 5, 6}, past the four of the benchmark corpus
+WIDE_DEN_POWS = parse_poly("(x-1)^5*(x-4)^6*(x-7)^3*(x-2)^2*(x-5)"), PAdicContext(3)
+# den_pow 1 alone: the den_pow-0 bucket that _combined starts from is empty
+NO_DEN_POW_ZERO = parse_poly("x^2 - x"), PAdicContext(2)
+
+
 def test_normal_form_matches_generic_fold():
     reached = dict.fromkeys(["Z t", "Z p - t^b", "H t", "H p - t^b"], 0)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(zeta_cases())
+    @example(compute_zeta(*WIDE_DEN_POWS, "tree"))
+    @example(compute_zeta(*WIDE_DEN_POWS, "spf"))
+    @example(compute_zeta(*NO_DEN_POW_ZERO, "tree"))
+    @example(compute_zeta(*NO_DEN_POW_ZERO, "spf"))
     def check(z):
         rf = folded_normal_form(z)
         h = poincare(z)
