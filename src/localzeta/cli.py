@@ -18,7 +18,6 @@ from .counting import (
     DEFAULT_CAP,
     brute_counts_upto,
     check_counts,
-    decimal,
     poincare_counts,
     solution_counts,
     tree_counts,
@@ -35,26 +34,33 @@ from .polynomials import (
     parse_poly,
     reduce_to_integral_roots,
 )
-from .ratfunc import poly_add, poly_mul, rf_equal, rf_eval, rf_format
+from .ratfunc import decimal, poly_add, poly_mul, rf_equal, rf_eval, rf_format
 from .tree import build_tree, tree_to_dot, tree_to_json, tree_to_text
 from .zeta import compute_zeta, normalize, poincare, zeta_text, zeta_to_json
 
 ENV_BRUTE_CAP = "LOCALZETA_BRUTE_CAP"
 
 
-def _brute_cap(flag: int | None) -> int:
-    """--brute-cap if given, else $LOCALZETA_BRUTE_CAP, else DEFAULT_CAP."""
-    if flag is not None:
-        return flag
-    value = os.environ.get(ENV_BRUTE_CAP)
-    if not value:
-        return DEFAULT_CAP
-    try:
-        return int(value)
-    except ValueError:
-        raise LocalZetaError(
-            f"{ENV_BRUTE_CAP} must be an integer, got {value!r}"
-        ) from None
+def _brute_cap(flag: int | None, p: int) -> int:
+    """--brute-cap if given, else $LOCALZETA_BRUTE_CAP, else DEFAULT_CAP.
+
+    A cap the user sets must be at least p.  The default is never compared
+    with p: zeta, poincare and tree never run the oracle, and the oracle
+    raises CapExceeded itself for a depth the cap does not reach.
+    """
+    if flag is None:
+        value = os.environ.get(ENV_BRUTE_CAP)
+        if not value:
+            return DEFAULT_CAP
+        try:
+            flag = int(value)
+        except ValueError:
+            raise LocalZetaError(
+                f"{ENV_BRUTE_CAP} must be an integer, got {value!r}"
+            ) from None
+    if flag < p:
+        raise LocalZetaError("brute cap must be at least p")
+    return flag
 
 
 def _factored(f: DensePoly | FactoredPoly) -> FactoredPoly:
@@ -76,8 +82,8 @@ def _cmd_poincare(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str
         return 0, json.dumps(
             {
                 "p": str(ctx.p),
-                "num": [str(c) for c in h.numerator],
-                "den": [str(c) for c in h.denominator],
+                "num": [decimal(c) for c in h.numerator],
+                "den": [decimal(c) for c in h.denominator],
             },
             indent=2,
         )
@@ -289,9 +295,7 @@ def main(argv: list[str] | None = None) -> int:
             raise LocalZetaError("max-m/length must be nonnegative")
         ctx = PAdicContext(args.prime)
         if hasattr(args, "brute_cap"):  # every command but lfsr
-            args.brute_cap = _brute_cap(args.brute_cap)
-            if args.brute_cap < ctx.p:
-                raise LocalZetaError("brute cap must be at least p")
+            args.brute_cap = _brute_cap(args.brute_cap, ctx.p)
         status, output = args.handler(args, ctx)
         if output:
             print(output, flush=True)

@@ -20,16 +20,16 @@ below, all checked by the same integer test (``check_counts``).  The
 counts are the only count type: c_m = (p*N_m - N_(m+1)) / p**(m+1) is
 formed only where the ``count`` command prints it.  ``coeff_stream``
 and ``counts_from_coeffs`` keep the rational-arithmetic reference.  The
-brute-force oracle counts the solutions of f = 0 mod p**m directly: it
-finds the roots mod p by a sweep over the p residues, lifts the
-solutions mod p**m to those mod p**(m+1) by a Hensel step on Python ints
-(the lifts of x0 solve f(x0)/p**m + f'(x0)*k = 0 mod p), and counts a
-residue class outright once the Taylor coefficients of f fix v_p(f) on
-it.  Its memory is bounded by the cap on p**n.
+brute-force oracle counts the solutions of f = 0 mod p**m directly, in
+one walk over the residue classes that hold them: each class carries its
+own polynomial, its content counts the whole class at once, and only the
+classes at a multiple root mod p (found by a sweep over the p residues)
+are walked a digit deeper, so at most deg f classes are live per level.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -38,7 +38,7 @@ from operator import add
 from .errors import CapExceeded, LocalZetaError, NegativeShift, NonIntegralCount
 from .padic import PAdicContext
 from .polynomials import DensePoly, FactoredPoly, as_integer_poly, require_integral
-from .ratfunc import RationalFunctionT
+from .ratfunc import RationalFunctionT, _trimmed, decimal  # decimal is re-exported
 from .zeta import ZetaFunction, _div_binomial, compute_zeta, poincare
 
 DEFAULT_CAP = 10**7
@@ -217,28 +217,24 @@ def counts_from_coeffs(
 def brute_counts_upto(
     f: DensePoly | FactoredPoly, ctx: PAdicContext, n: int, cap: int = DEFAULT_CAP
 ) -> list[int]:
-    """All of N_0..N_n by lifting the solutions one p-adic digit at a time.
+    """All of N_0..N_n by one walk over the residue classes that hold solutions.
 
-    A solution mod p**(m+1) reduces to a solution mod p**m, so the
-    solutions at level m + 1 are among the p lifts x0 + k*p**m
-    (k = 0..p-1) of the N_m solutions x0 at level m.  Before a level is
-    lifted, _settle counts outright every class x0 + p**m Z on which
-    v_p(f) is already fixed, so only the classes near a root are lifted
-    further.  Level 0 evaluates f at the p residues mod p by Horner's rule
-    (``_roots_mod_p``: a Python loop below _ARRAY_SWEEP, else arrays, int64
-    while p < _VECTOR_LIMIT and Python ints above, at most _BLOCK at a
-    time).  Every level m >= 1 takes a Hensel step on
-    Python ints: p**m divides a_0 = f(x0), and with a_1 = f'(x0),
-    f(x0 + k*p**m) = a_0 + a_1*k*p**m mod p**(m+1), so the lifts are the k
-    with a_0/p**m + a_1*k = 0 mod p: one k when p does not divide a_1, all
-    p when p divides a_1 and a_0/p**m, and none otherwise (_settle has
-    counted such a class outright, so it never reaches the step).  The
-    survivors at level m + 1 number at most p times the live classes at
-    level m, and they are solutions, so at most N_(m+1) <= p**n <= cap: the
-    cap bounds both time and memory.  At level 0 a polynomial that is 0 mod
-    p leaves the class Z live only when n >= 2, so p <= sqrt(cap) whenever
-    the sweep keeps more than deg f residues.  The oracle never sees the
-    factorisation or Z.
+    Panayi's recursion (as in Berthomieu, Lecerf and Quintin, AAECC 24,
+    2013), turned into a counter.  A class x0 + p**m Z is walked as
+    (m, g, w) with g(y) = f(x0 + p**m y) / p**w, starting from (0, f, 0).
+    Let p**v be the content of g, capped at p**(n - w): every residue of
+    the class solves f = 0 mod p**j for w < j <= w + v, which adds
+    p**(j - m) to N_j.  Divided by p**v, with w raised by v, g keeps
+    deeper solutions only at its roots k mod p (``_roots_mod_p``: a Python
+    loop below _ARRAY_SWEEP, else arrays, int64 while p < _VECTOR_LIMIT and
+    Python ints above, at most _BLOCK at a time).  A simple root goes on
+    one digit at a time in closed form, adding p**(w - m) to every N_j
+    with j > w; a multiple root k is walked as (m + 1, g(k + p*y), w).
+    The child's g mod p has degree at most the multiplicity of k, so at
+    most deg f classes are live per level.  g is kept mod p**(n - w), the
+    only part the counts read, so no coefficient exceeds p**n.  The cap on
+    p**n no longer bounds the time; it stays as the command line's
+    contract.  The oracle never sees the factorisation or Z.
     """
     if n < 0:
         raise LocalZetaError("max-m/length must be nonnegative")
@@ -258,28 +254,41 @@ def brute_counts_upto(
                     pass
             raise CapExceeded(f"{size} exceeds the cap {cap}")
     counts = [1] + [0] * n
-    survivors = [0]  # the single class mod p**0
-    for m in range(n):
-        live = _settle(survivors, coeffs, m, powers, counts)
-        if not live:
-            break
-        if m == 0:
-            survivors = _roots_mod_p(coeffs, p)
-        else:
-            place = powers[m]
-            survivors = []
-            for x0, a0, a1 in live:
-                if a1 % p:
-                    k = -(a0 // place) * pow(a1, -1, p) % p
-                    survivors.append(x0 + k * place)
-                else:  # _settle has counted the class unless p**(m+1) divides a_0 too
-                    survivors.extend(range(x0, x0 + p * place, place))
-        counts[m + 1] += len(survivors)
+    classes = [(0, [c % powers[n] for c in coeffs], 0)]
+    while classes:
+        m, g, w = classes.pop()
+        content, v = math.gcd(*g), 0
+        while v < n - w and content % p == 0:  # a zero g takes the cap
+            content //= p
+            v += 1
+        for j in range(w + 1, w + v + 1):
+            counts[j] += powers[j - m]
+        w += v
+        if w == n:
+            continue
+        g = [c // powers[v] for c in g]
+        gbar = _trimmed([c % p for c in g])
+        if len(gbar) == 1:  # a unit mod p: no deeper solutions
+            continue
+        for k in _roots_mod_p(gbar, p):
+            slope = 0  # g'(k) mod p
+            for i in range(len(gbar) - 1, 0, -1):
+                slope = (slope * k + i * gbar[i]) % p
+            if slope:
+                for j in range(w + 1, n + 1):
+                    counts[j] += powers[w - m]
+                continue
+            child = [0] * len(g)  # g(k + p*y) by Horner's rule in y
+            for c in reversed(g):
+                for i in range(len(child) - 1, 0, -1):
+                    child[i] = child[i] * k + child[i - 1] * p
+                child[0] = child[0] * k + c
+            classes.append((m + 1, [c % powers[n - w] for c in child], w))
     return counts
 
 
 def _roots_mod_p(coeffs: list[int], p: int) -> list[int]:
-    """The roots of f mod p, by Horner's rule on each of the p residues.
+    """The roots of coeffs mod p, by Horner's rule on each of the p residues.
 
     Below _ARRAY_SWEEP a Python loop is faster than numpy's per-call
     overhead, and it spares the process the import of numpy.  From there
@@ -310,66 +319,6 @@ def _roots_mod_p(coeffs: list[int], p: int) -> list[int]:
     return roots
 
 
-def _settle(
-    survivors: list[int], coeffs: list[int], m: int, powers: list[int], counts: list[int]
-) -> list[tuple[int, int, int]]:
-    """Count the classes x0 + p**m Z whose solutions are known; return the rest.
-
-    On such a class f(x0 + p**m t) = sum_k a_k p**(m*k) t**k, with a_k the
-    Taylor coefficients of f at x0.  If v_p(a_0) = w is below every
-    v_p(a_k) + m*k (k >= 1), then v_p(f) = w on the whole class; if every
-    a_k p**(m*k) is 0 mod p**n, then v_p(f) >= n = w on it.  Either way
-    the class holds p**(j-m) solutions mod p**j for m < j <= w and none
-    beyond, which go straight into counts[j].  a_0 = f(x0) and
-    a_1 = f'(x0) come from one Horner pass; the a_k with k >= 2 matter only
-    while m*k is below w + 1 (see _later_terms_pass).  A class still in
-    the running comes back as (x0, a_0, a_1).  powers holds p**0..p**n.
-    """
-    n = len(powers) - 1
-    tally = [0] * (n + 1)
-    live = []
-    backwards = coeffs[::-1]
-    for x0 in survivors:
-        a0 = a1 = 0
-        for c in backwards:
-            a1 = a1 * x0 + a0
-            a0 = a0 * x0 + c
-        w = m  # x0 is a solution mod p**m
-        while w < n and a0 % powers[w + 1] == 0:
-            w += 1
-        reach = min(w + 1, n)  # what each v_p(a_k) + m*k must reach
-        if a1 % powers[reach - m] == 0 and (
-            reach <= 2 * m or _later_terms_pass(coeffs, x0, m, reach, powers)
-        ):
-            tally[w] += 1
-        else:
-            live.append((x0, a0, a1))
-    at_least = 0
-    for j in range(n, m, -1):
-        at_least += tally[j]
-        counts[j] += at_least * powers[j - m]
-    return live
-
-
-def _later_terms_pass(
-    coeffs: list[int], x0: int, m: int, reach: int, powers: list[int]
-) -> bool:
-    """True when v_p(a_k) + m*k >= reach for every Taylor coefficient with k >= 2.
-
-    The a_k come from repeated synthetic division, one pass per k, and
-    stop once m*k reaches `reach`: every later a_k passes.
-    """
-    a = list(coeffs)
-    for k in range(len(a)):
-        if reach <= m * k:
-            return True
-        for i in range(len(a) - 2, k - 1, -1):
-            a[i] += a[i + 1] * x0
-        if k >= 2 and a[k] % powers[reach - m * k]:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # assembled counts
 # ---------------------------------------------------------------------------
@@ -386,7 +335,8 @@ def solution_counts(
 
     `tree` expands the tree terms and `spf` long-divides H(pu) from the
     residue recursion (see ``tree_counts`` and ``poincare_counts``);
-    `brute` counts the solutions by lifting them digit by digit, so it
+    `brute` counts the solutions by walking the residue classes that hold
+    them, so it
     never sees the zeta function at all.  Every route's counts pass
     ``check_counts``.  No coefficient c_m is formed.
     """
@@ -405,19 +355,3 @@ def solution_counts(
     else:
         raise ValueError(f"unknown method {method!r}")
     return check_counts(counts, ctx.p)
-
-
-def decimal(value: int | Fraction) -> str:
-    """str(value), or CapExceeded past the interpreter's int-to-str digit limit.
-
-    The limit itself is left as it is.  Interpreters before 3.10.7 have no
-    limit (and no sys.get_int_max_str_digits), so str never fails there
-    and the handler is reached only where the limit exists.
-    """
-    try:
-        return str(value)
-    except ValueError:
-        raise CapExceeded(
-            "a value has more decimal digits than the int-to-str limit of "
-            f"{sys.get_int_max_str_digits()}"
-        ) from None

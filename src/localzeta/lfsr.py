@@ -15,7 +15,7 @@ import copy
 from dataclasses import dataclass
 from operator import mul
 
-from .counting import DEFAULT_CAP, decimal, solution_counts
+from .counting import DEFAULT_CAP, solution_counts
 from .errors import (
     CapExceeded,
     DegenerateTaps,
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .padic import PAdicContext
 from .polynomials import DensePoly, FactoredPoly
-from .ratfunc import _trimmed
+from .ratfunc import _trimmed, decimal
 
 CoeffPair = tuple[tuple[int, ...], tuple[int, ...]]  # (L, R) coefficients mod p
 

@@ -11,11 +11,12 @@ equality is available for everything else.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvariantViolation, PoleAtPoint
+from .errors import CapExceeded, InvariantViolation, PoleAtPoint
 
 Coeffs = Sequence[Fraction | int]
 
@@ -229,6 +230,22 @@ def rf_series(r: RationalFunctionT, count: int) -> list[Fraction]:
     return out
 
 
+def decimal(value: int | Fraction) -> str:
+    """str(value), or CapExceeded past the interpreter's int-to-str digit limit.
+
+    The limit itself is left as it is.  Interpreters before 3.10.7 have no
+    limit (and no sys.get_int_max_str_digits), so str never fails there
+    and the handler is reached only where the limit exists.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise CapExceeded(
+            "a value has more decimal digits than the int-to-str limit of "
+            f"{sys.get_int_max_str_digits()}"
+        ) from None
+
+
 def poly_format(coeffs: Sequence[int]) -> str:
     """Human-readable polynomial, lowest degree first: e.g. '5 - t + 2*t^3'."""
     if poly_is_zero(coeffs):
@@ -237,13 +254,13 @@ def poly_format(coeffs: Sequence[int]) -> str:
     for k, c in enumerate(coeffs):
         if c == 0:
             continue
-        mag = abs(c)
+        mag = decimal(abs(c))
         if k == 0:
             body = f"{mag}"
         elif k == 1:
-            body = "t" if mag == 1 else f"{mag}*t"
+            body = "t" if mag == "1" else f"{mag}*t"
         else:
-            body = f"t^{k}" if mag == 1 else f"{mag}*t^{k}"
+            body = f"t^{k}" if mag == "1" else f"{mag}*t^{k}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

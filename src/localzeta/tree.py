@@ -27,6 +27,7 @@ from .errors import MalformedDocument
 from .padic import PAdicContext
 from .padic import residue as residue_mod
 from .polynomials import FactoredPoly
+from .ratfunc import decimal
 
 
 class Vertex(NamedTuple):
@@ -114,7 +115,7 @@ def tree_to_text(tree: WeightedTree) -> str:
     lines = [f"tree p={tree.p} l_f={tree.l_f}"]
     for v in tree.vertices:
         lines.append(
-            f"node {v.id} level={v.level} residue={v.residue} "
+            f"node {v.id} level={v.level} residue={decimal(v.residue)} "
             f"weight={v.weight} stalk_weight={v.stalk_weight} valence={v.valence}"
         )
     for v in tree.vertices:
@@ -133,7 +134,7 @@ def tree_to_json(tree: WeightedTree) -> dict:
             {
                 "id": v.id,
                 "level": v.level,
-                "residue": str(v.residue),
+                "residue": decimal(v.residue),
                 "parent": v.parent,
                 "children": list(v.children),
                 "weight": v.weight,
@@ -243,7 +244,7 @@ def tree_to_dot(tree: WeightedTree) -> str:
             label = f"root\\nW=0 W*=0 Val={v.valence}"
         else:
             label = (
-                f"{v.residue} mod {tree.p}^{v.level}\\n"
+                f"{decimal(v.residue)} mod {tree.p}^{v.level}\\n"
                 f"W={v.weight} W*={v.stalk_weight} Val={v.valence}"
             )
         lines.append(f'  n{v.id} [label="{label}"];')

@@ -52,7 +52,7 @@ from .polynomials import (
     compute_lf,
     reduce_to_integral_roots,
 )
-from .ratfunc import RationalFunctionT, rf_format
+from .ratfunc import RationalFunctionT, decimal, rf_format
 from .tree import WeightedTree, build_tree, json_int
 
 Roots = tuple[tuple[Fraction, int], ...]
@@ -342,7 +342,7 @@ def _coeffs(z: ZetaFunction) -> dict[tuple[int, int], tuple[str, str]]:
     texts = {}
     for c, j in {(t.c, t.j) for t in z.terms}:
         q = Fraction(c, p**j)
-        bare = str(q)
+        bare = decimal(q)
         texts[c, j] = bare, f"({bare})" if q.denominator != 1 or q < 0 else bare
     return texts
 
@@ -388,8 +388,8 @@ def zeta_to_json(z: ZetaFunction) -> dict:
             for t in z.terms
         ],
         "normalized": {
-            "num": [str(c) for c in rf.numerator],
-            "den": [str(c) for c in rf.denominator],
+            "num": [decimal(c) for c in rf.numerator],
+            "den": [decimal(c) for c in rf.denominator],
         },
     }
 

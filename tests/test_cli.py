@@ -329,6 +329,27 @@ def test_brute_cap_env_var(capsys, monkeypatch):
     assert status == 0
 
 
+def test_default_brute_cap_refuses_no_prime(capsys, monkeypatch):
+    # only a cap the user sets must be at least p; the default stays below a
+    # large p, and the oracle itself refuses a depth the cap does not reach
+    monkeypatch.delenv("LOCALZETA_BRUTE_CAP", raising=False)
+    p = str(BIG_P)
+    status, out, err = run_cli(capsys, "zeta", "--poly", "x", "--prime", p)
+    assert (status, err) == (0, "")
+    assert run_cli(capsys, "zeta", "--poly", "x", "--prime", p, "--brute-cap", p) == (0, out, "")
+    status, out, err = run_cli(
+        capsys, "count", "--method", "brute", "--poly", "x", "--prime", "10000019",
+        "--max-m", "1",
+    )
+    assert (status, out) == (1, "")
+    assert err == "error: CapExceeded: p^1 = 10000019 exceeds the cap 10000000\n"
+    status, out, _ = run_cli(
+        capsys, "verify", "--poly", "x", "--prime", "10000019", "--max-m", "3"
+    )
+    assert status == 0
+    assert "PASS  brute-force counts match up to m = 0\n" in out
+
+
 def test_bad_lfsr_register_exits_one(capsys):
     for taps, init in (("1", "0,1"), ("", "")):
         status, out, err = run_cli(
@@ -388,6 +409,13 @@ DEFAULT_DIGIT_LIMIT = pytest.mark.skipif(
     reason="needs the default int-to-str digit limit",
 )
 
+# roots 0 and P**k with P = 10^12 + 39: the root's literal fits the digit
+# limit, but Z's terms reach P**(k + 2), which does not (k = 357 at 4300)
+BIG_P = 10**12 + 39
+DEEP_PAIR = "(x - 0)*(x - {})".format(
+    BIG_P ** ((getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) // 12 - 1)
+)
+
 
 @DEFAULT_DIGIT_LIMIT
 @pytest.mark.parametrize("argv", [
@@ -396,6 +424,9 @@ DEFAULT_DIGIT_LIMIT = pytest.mark.skipif(
      "--format", "json"],
     ["count", "--poly", "(x-1)^4", "--prime", "1000003", "--max-m", "1000"],
     ["count", "--poly", "(x-1)^4", "--prime", "1000003", "--max-m", "1000",
+     "--format", "json"],
+    ["zeta", "--poly", DEEP_PAIR, "--prime", str(BIG_P), "--brute-cap", str(BIG_P)],
+    ["zeta", "--poly", DEEP_PAIR, "--prime", str(BIG_P), "--brute-cap", str(BIG_P),
      "--format", "json"],
 ])
 def test_values_past_the_digit_limit_exit_one(capsys, argv):

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from localzeta import (
     RationalFunctionT,
     ZetaFunction,
     ZetaTerm,
+    as_integer_poly,
     brute_counts_upto,
     coeff_stream,
     compute_zeta,
@@ -648,65 +651,117 @@ def test_lift_on_the_worst_tower_stays_small():
     assert peak < 32 * 2**20
 
 
-def test_settle_counts_a_class_of_constant_valuation():
-    import localzeta.counting as counting
+def scans(monkeypatch) -> list[tuple[int, int, list[int]]]:
+    """(m, w, g mod p) for each class x0 + p**m Z the oracle's walk scans for roots.
 
-    # f = x^3, p = 2: the solutions mod 4 are 0 and 2.  On 2 + 4Z,
-    # v_2(f) = 3, so that class holds 2 solutions mod 8 and none mod 16;
-    # on 4Z the valuation is not constant, so 0 is lifted further.
-    counts = [1, 1, 2] + [0] * 8
-    live = counting._settle([0, 2], [0, 0, 0, 1], 2, [2**j for j in range(11)], counts)
-    assert [x0 for x0, _, _ in live] == [0]
-    assert counts == [1, 1, 2, 2] + [0] * 7
-
-
-def test_hensel_step_lifts_solutions_to_solutions(monkeypatch):
+    The walk calls _roots_mod_p once per class that can still hold deeper
+    solutions, with f(x0 + p**m y) = p**w g(y); m and w are read from the
+    walk's frame.
+    """
     import localzeta.counting as counting
 
     seen = []
-    settle = counting._settle
+    scan = counting._roots_mod_p
 
-    def spy(survivors, coeffs, m, powers, counts):
-        seen.append((list(survivors), coeffs, powers[1], m))
-        return settle(survivors, coeffs, m, powers, counts)
+    def spy(gbar, p):
+        walk = sys._getframe(1).f_locals
+        seen.append((walk["m"], walk["w"], list(gbar)))
+        return scan(gbar, p)
 
-    monkeypatch.setattr(counting, "_settle", spy)
-    for text, p, n in [("x^2 + 1", 5, 8), ("x^3 - 2", 5, 6), ("(x-3)^2*(x+4)*(x-10)", 7, 6),
-                       ("x^2 - 17", 2, 12), ("49*x^2 - 98", 7, 5)]:
-        f = parse_poly(text)
-        brute_counts_upto(f, PAdicContext(p), n)
-        for survivors, coeffs, q, m in seen:
-            for x0 in survivors:
-                assert sum(c * x0**i for i, c in enumerate(coeffs)) % q**m == 0, (text, m, x0)
-        assert any(m >= 2 and survivors for survivors, *_, m in seen), text
+    monkeypatch.setattr(counting, "_roots_mod_p", spy)
+    return seen
+
+
+def test_settle_counts_a_class_of_constant_valuation(monkeypatch):
+    # f = x^3, p = 2: on 2Z the content gives v_2(f) >= 3, and of its
+    # classes mod 4 only 0 + 4Z is a root of g = y^3 mod 2; on 2 + 4Z,
+    # v_2(f) = 3, so that class holds 2 solutions mod 8 and none mod 16
+    seen = scans(monkeypatch)
+    counts = brute_counts_upto(parse_poly("x^3"), PAdicContext(2), 10, cap=2**10)
+    assert counts == [2 ** (j - -(-j // 3)) for j in range(11)]
+    assert seen == [(m, 3 * m, [0, 0, 0, 1]) for m in range(4)]
+
+
+def test_hensel_step_lifts_solutions_to_solutions(monkeypatch):
+    # every class the walk scans is x0 + p**m Z for a solution x0 mod p**m,
+    # and it carries that class's polynomial: f(x0 + p**m y) = p**w g(y)
+    seen = scans(monkeypatch)
+    for text, p, n, levels in [("x^2 + 1", 5, 8, [0]), ("x^3 - 2", 5, 6, [0]),
+                               ("(x-3)^2*(x+4)*(x-10)", 7, 6, [0, 1]),
+                               ("x^2 - 17", 2, 12, [0, 1]), ("49*x^2 - 98", 7, 5, [0])]:
+        coeffs = [int(c) for c in as_integer_poly(parse_poly(text)).coefficients]
+        counts = brute_counts_upto(parse_poly(text), PAdicContext(p), n)
+        for j in range(min(n, 4) + 1):
+            assert counts[j] == sum(
+                sum(c * x**i for i, c in enumerate(coeffs)) % p**j == 0 for x in range(p**j)
+            ), (text, j)
+        assert [m for m, _, _ in seen] == levels, text
+        for m, w, gbar in seen:
+            assert w >= m, (text, m)
+            assert any(
+                [c % p ** (w + 1) for c in _shifted(coeffs, x0, p**m)]
+                == [p**w * c for c in gbar] + [0] * (len(coeffs) - len(gbar))
+                for x0 in range(p**m)
+            ), (text, m)
         seen.clear()
 
 
+def _shifted(coeffs: list[int], x0: int, q: int) -> list[int]:
+    """The coefficients of f(x0 + q*y), by Horner's rule in y."""
+    out = [0] * len(coeffs)
+    for c in reversed(coeffs):
+        out = [a * x0 + b * q for a, b in zip(out, [0, *out])]
+        out[0] += c
+    return out
+
+
 def test_lift_follows_only_unsettled_classes(monkeypatch):
-    import localzeta.counting as counting
-
-    lifted = []
-    settle = counting._settle
-
-    def spy(*args):
-        live = settle(*args)
-        lifted.append(len(live))
-        return live
-
-    monkeypatch.setattr(counting, "_settle", spy)
-    # v_3(f) >= 25 on all of 1 + 3Z, so after level 1 nothing is lifted,
+    seen = scans(monkeypatch)
+    # v_3(f) >= 25 on all of 1 + 3Z, so only Z_p itself is scanned,
     # although every residue 1 mod 3 is a solution at every level
     f = parse_poly("(x-1)^5*(x-4)^5*(x-7)^5*(x-10)^5*(x-13)^5")
     assert brute_counts_upto(f, PAdicContext(3), 14, cap=3**14)[-1] == 3**13
-    assert lifted == [1, 0]
-    # a constant is settled on Z_p itself
-    lifted.clear()
+    assert [m for m, _, _ in seen] == [0]
+    # a constant is counted on Z_p itself, and nothing is scanned
+    seen.clear()
     assert brute_counts_upto(parse_poly("12"), PAdicContext(2), 5) == [1, 2, 4, 0, 0, 0]
     assert brute_counts_upto(parse_poly("0"), PAdicContext(2), 5) == [1, 2, 4, 8, 16, 32]
-    assert lifted == [0, 0]
-    # simple roots: at most one class per root and digit is followed
-    lifted.clear()
+    assert seen == []
+    # five simple roots, four of them 0 mod 8: one class per level is scanned
+    # until they part mod 64, and each simple root then goes on in closed form
+    seen.clear()
     f = FactoredPoly(F(1), tuple((F(r), 1) for r in (0, 1, 8, -8, 40)))
     counts = brute_counts_upto(f, PAdicContext(2), 30, cap=2**30)
     assert counts == solution_counts(f, PAdicContext(2), 30)
-    assert max(lifted) <= 2 * 5
+    assert [m for m, _, _ in seen] == [0, 1, 2, 3, 4, 5]
+
+
+def test_no_level_scans_more_classes_than_the_degree(monkeypatch):
+    # a child's g mod p has degree at most the multiplicity of its root, so
+    # the degrees of the classes at one level add up to at most deg f
+    seen = scans(monkeypatch)
+    rng = random.Random(3)
+    for _ in range(40):
+        p = rng.choice([2, 3, 5])
+        roots = [rng.choice([0, 1, p, p + 1, p**2, 1 + p**3, rng.randint(-20, 20)])
+                 for _ in range(rng.randint(1, 6))]
+        f = FactoredPoly(F(1), tuple((F(r), rng.randint(1, 3)) for r in set(roots)))
+        degree = sum(m for _, m in f.roots)
+        brute_counts_upto(f, PAdicContext(p), 20, cap=p**20)
+        per_level = {}
+        for m, _, gbar in seen:
+            per_level[m] = per_level.get(m, 0) + len(gbar) - 1
+        assert max(per_level.values()) <= degree, (f, p, per_level)
+        seen.clear()
+
+
+def test_walk_reaches_depth_1000_in_under_a_second():
+    # one class per level and multiple root: the walk costs O(deg f) steps
+    # per level, where lifting every solution cost quadratically in the depth
+    f = parse_poly("(x-1)^3*(x-10)^2*(x-4)")
+    ctx = PAdicContext(3)
+    start = time.perf_counter()
+    counts = brute_counts_upto(f, ctx, 1000, cap=3**1000)
+    elapsed = time.perf_counter() - start
+    assert counts == solution_counts(f, ctx, 1000, "tree")
+    assert elapsed < 1.0, elapsed
