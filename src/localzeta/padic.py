@@ -8,8 +8,8 @@ reduces it modulo p**m with one modular inverse; that residue is all the
 tree and the residue recursion read from a root.
 
 The prime is validated once, when a context is built (``is_prime``): the
-check is a proof for p < 3317044064679887385961981 and the Baillie-PSW
-test above that bound.
+check runs only the strong tests that are a proof at the size of p, up to
+3317044064679887385961981, and the Baillie-PSW test from that bound up.
 """
 
 from __future__ import annotations
@@ -23,10 +23,16 @@ from .errors import InvalidPrime, NegativeValuation
 #: Sentinel value of v_p(0).
 INFINITY = math.inf
 
-# The first 13 primes: trial divisors and strong-test bases alike.  Strong
-# tests to these bases are a proof for n < 3317044064679887385961981, the
-# least strong pseudoprime to all of them (Sorenson-Webster, OEIS A014233).
+# The first 13 primes: trial divisors and strong-test bases alike.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# OEIS A014233: the k-th entry is the least strong pseudoprime to the first
+# k prime bases (Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster,
+# Math. Comp. 86, 2017), so below it strong tests to those k bases are a proof.
+_A014233 = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
 
 
 def _is_strong_probable_prime(n: int, a: int) -> bool:
@@ -105,20 +111,23 @@ def _is_strong_lucas_probable_prime(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality by trial division, strong tests and a strong Lucas test.
 
-    Every n runs the same three steps: trial division by the primes up to
-    41, strong tests to those 13 bases, and one strong Lucas test with
-    Selfridge's parameters.  The strong tests alone are a proof below
-    3317044064679887385961981; above it the combination is the Baillie-PSW
-    test, which has no known counterexample.
+    After trial division by the primes up to 41, n takes strong tests to
+    the first k of those bases, for the least k with n < A014233(k): a
+    proof, at 5 tests near 10**12.  From 3317044064679887385961981 up, n
+    takes all 13 and one strong Lucas test with Selfridge's parameters,
+    the Baillie-PSW test, which has no known counterexample.
     """
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
-    return all(_is_strong_probable_prime(n, a) for a in _SMALL_PRIMES) and (
-        _is_strong_lucas_probable_prime(n)
-    )
+    for a, bound in zip(_SMALL_PRIMES, _A014233):
+        if not _is_strong_probable_prime(n, a):
+            return False
+        if n < bound:
+            return True
+    return _is_strong_lucas_probable_prime(n)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ rational) and takes time polynomial in the degree and the coefficient
 size; no integer is factored.  Following Loos (SIAM J. Comput. 12, 1983),
 the roots of the squarefree part mod the least prime q at which they are
 all simple are Newton-lifted q-adically until a bound on the root size is
-passed, each lift is tested exactly, and each root found is divided out of
-the primitive integer form to full multiplicity.
+passed, and each lift is tested exactly.  A root's multiplicity is read
+off gcd(P, P') of the primitive integer form P, which the squarefree part
+needs anyway, so P itself is never divided.
 """
 
 from __future__ import annotations
@@ -226,12 +227,12 @@ class _Parser:
 
 
 def _parse_expression(p: _Parser) -> DensePoly:
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, tuple[int, int]] = {}  # degree -> (a, b), meaning a/b
     sign = p.sign()
     while True:
         tok = p.peek()
         if tok[0] == "int":
-            c = Fraction(*p.pair())
+            c, d = p.pair()
             if p.peek()[0] == "*":
                 p.pos += 1
                 p.take("x", "'x'")
@@ -240,11 +241,15 @@ def _parse_expression(p: _Parser) -> DensePoly:
                 k = 0
         elif tok[0] == "x":
             p.pos += 1
-            c = Fraction(1)
+            c, d = 1, 1
             k = p.exponent() if p.peek()[0] == "^" else 1
         else:
             raise ParseError("expected a term", tok[2])
-        coeffs[k] = coeffs.get(k, Fraction(0)) + sign * c
+        a, b = coeffs.get(k, (0, d))
+        if b != d:  # over the lcm of the two denominators
+            g = math.gcd(b, d)
+            a, c, b = a * (d // g), c * (b // g), b // g * d
+        coeffs[k] = (a + sign * c, b)
         tok = p.peek()
         if tok[0] == "end":
             break
@@ -252,7 +257,7 @@ def _parse_expression(p: _Parser) -> DensePoly:
             raise ParseError("expected '+', '-' or end of input", tok[2])
         sign = p.sign()
     degree = max(coeffs) if coeffs else 0
-    return DensePoly(tuple(coeffs.get(k, Fraction(0)) for k in range(degree + 1)))
+    return DensePoly(tuple(Fraction(*coeffs.get(k, (0, 1))) for k in range(degree + 1)))
 
 
 def _parse_factored(p: _Parser) -> FactoredPoly:
@@ -388,32 +393,30 @@ def find_rational_roots(f: DensePoly) -> FactoredPoly:
         zeros += 1
     if zeros:
         roots.append((Fraction(0), zeros))
-    if len(work) > 1:
+    left = len(work) - 1  # the degree no root found so far accounts for
+    if left:
         # The roots of P, the primitive integer form, are those of its
-        # squarefree part S = P / gcd(P, P'), whose roots mod a suitable
-        # prime q are simple and so lift q-adically (see _lift_root).
-        # Each rational root a/b found is divided out of P by (b*x - a);
-        # by Gauss's lemma the division is exact in Z[x] iff a/b is a
-        # root, and every quotient is again a primitive integer polynomial.
+        # squarefree part S = P / G, G = gcd(P, P'), whose roots mod a
+        # suitable prime q are simple and so lift q-adically (see
+        # _lift_root).  A root a/b of multiplicity e in P has multiplicity
+        # e - 1 in G, so e is 1 plus the number of times G divides by
+        # (b*x - a); by Gauss's lemma each quotient stays in Z[x].
         work = _primitive(work)
-        derivative = [i * c for i, c in enumerate(work)][1:]
-        s = _divide_exact(work, poly_gcd(work, derivative))
+        g = poly_gcd(work, [i * c for i, c in enumerate(work)][1:])
+        s = _divide_exact(work, g)
         ds = [i * c for i, c in enumerate(s)][1:]
         q, residues = _simple_roots_mod(s, ds)
         for rho in residues:
             root = _lift_root(s, ds, rho, q)
             if root is None:
                 continue
-            a, b = root.numerator, root.denominator
-            mult = 0
-            while (quotient := _divide_exact(work, [-a, b])) is not None:
-                work, mult = quotient, mult + 1
-            if mult:
-                roots.append((root, mult))
-    if len(work) > 1:
-        raise SplittingFieldNotQ(
-            f"a degree-{len(work) - 1} factor has no rational roots"
-        )
+            factor, mult = [-root.numerator, root.denominator], 1
+            while (quotient := _divide_exact(g, factor)) is not None:
+                g, mult = quotient, mult + 1
+            roots.append((root, mult))
+            left -= mult
+    if left:
+        raise SplittingFieldNotQ(f"a degree-{left} factor has no rational roots")
     return FactoredPoly(unit, tuple(roots))
 
 

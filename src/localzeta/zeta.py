@@ -39,6 +39,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, starmap, zip_longest
 from typing import NamedTuple
 
@@ -74,7 +75,16 @@ class ZetaFunction:
     terms: tuple[ZetaTerm, ...]
 
     def scaled_coeffs(self) -> tuple[int, list[int]]:
-        """(p**J, [c * p**(J - j) per term]), J the largest j: one common scale."""
+        """(p**J, [c * p**(J - j) per term]), J the largest j: one common scale.
+
+        Formed on the first call and returned by every later one (the same
+        list, not to be modified): sorting the terms and the normal form
+        both read it.
+        """
+        return self._scaled
+
+    @cached_property
+    def _scaled(self) -> tuple[int, list[int]]:
         p, top = self.ctx.p, max((t.j for t in self.terms), default=0)
         shifts = {j: p ** (top - j) for j in {t.j for t in self.terms}}
         return p**top, [t.c * shifts[t.j] for t in self.terms]

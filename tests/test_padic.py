@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,13 @@ from localzeta import (
     is_prime,
     vp,
 )
-from localzeta.padic import _is_strong_lucas_probable_prime, residue
+import localzeta.padic
+from localzeta.padic import (
+    _SMALL_PRIMES,
+    _is_strong_lucas_probable_prime,
+    _is_strong_probable_prime,
+    residue,
+)
 
 
 def test_context_accepts_primes():
@@ -74,6 +82,41 @@ def test_strong_pseudoprimes_to_the_first_prime_bases_are_rejected():
             PAdicContext(n)
 
 
+def test_each_term_of_a014233_passes_its_bases_so_the_bound_is_strict():
+    # psi_k is a strong pseudoprime to the first k prime bases, so n < psi_k
+    # and not n <= psi_k is what makes k strong tests a proof
+    first_k = {psi: k for k, psi in enumerate(localzeta.padic._A014233, 1)}
+    assert sorted(first_k) == list(A014233_COMPOSITES)
+    for psi, k in first_k.items():
+        assert all(_is_strong_probable_prime(psi, a) for a in _SMALL_PRIMES[:k]), psi
+        assert not is_prime(psi)
+
+
+@pytest.mark.parametrize(
+    "n, strong, lucas",
+    [
+        (1000003, 2, 0),  # below A014233(2) = 1373653
+        (10000019, 3, 0),  # below A014233(3) = 25326001
+        (1000000000039, 5, 0),  # below A014233(5) = 2152302898747
+        (3317044064679887385961981, 13, 1),  # A014233(13): only the Lucas test rejects it
+    ],
+)
+def test_is_prime_runs_the_tests_its_band_needs(monkeypatch, n, strong, lucas):
+    calls = Counter()
+
+    def spy(name):
+        test = getattr(localzeta.padic, name)
+        monkeypatch.setattr(
+            localzeta.padic, name, lambda *args: calls.update([name]) or test(*args)
+        )
+
+    spy("_is_strong_probable_prime")
+    spy("_is_strong_lucas_probable_prime")
+    assert is_prime(n) == (n != A014233_COMPOSITES[-1])
+    assert calls["_is_strong_probable_prime"] == strong
+    assert calls["_is_strong_lucas_probable_prime"] == lucas
+
+
 def test_strong_lucas_pseudoprimes_below_1e5():
     prime = _sieve(10**5)
     passing = [
@@ -101,9 +144,18 @@ def _primality_oracle_inputs():
     yield from A014233_COMPOSITES
 
 
+def _band_samples():
+    """200 random odd n on each side of every term of A014233, within a factor 2."""
+    rng = random.Random(23)
+    for psi in A014233_COMPOSITES:
+        for _ in range(200):
+            yield rng.randrange(psi // 2, psi) | 1
+            yield rng.randrange(psi + 1, 2 * psi) | 1
+
+
 def test_is_prime_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    for n in _primality_oracle_inputs():
+    for n in itertools.chain(_primality_oracle_inputs(), _band_samples()):
         assert is_prime(n) == bool(sympy.isprime(n)), n
     from sympy.ntheory.primetest import is_strong_lucas_prp
 

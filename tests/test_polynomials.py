@@ -183,6 +183,58 @@ def test_parse_factored_matches_a_fraction_reference(case):
     assert f.roots == tuple(sorted(roots.items()))
 
 
+@st.composite
+def dense_texts(draw):
+    """Expression text, and the coefficients a Fraction sum of its terms gives.
+
+    Degrees come from a small pool, so they repeat; a coefficient is an
+    integer or an unreduced a/b, and a term may be followed by its negation,
+    written another way, so that the two cancel.
+    """
+    def sp():
+        return draw(space)
+
+    def written(c, k):
+        a, b = c.numerator, c.denominator
+        g = draw(st.integers(1, 3))
+        number = str(a) if b * g == 1 and draw(st.booleans()) else f"{a * g}{sp()}/{sp()}{b * g}"
+        if k == 0:
+            return number
+        power = f"{sp()}^{sp()}{k}" if k > 1 or draw(st.booleans()) else ""
+        if c == 1 and draw(st.booleans()):
+            return f"x{power}"
+        return f"{number}{sp()}*{sp()}x{power}"
+
+    degrees = draw(st.lists(st.integers(0, 8), min_size=1, max_size=4))
+    terms = []
+    for _ in range(draw(st.integers(1, 10))):
+        c = draw(st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**3)))
+        k = draw(st.sampled_from(degrees))
+        terms.append((c, k))
+        if draw(st.integers(0, 3)) == 0:
+            terms.append((-c, k))
+    sums: Counter = Counter()
+    text = sp()
+    for i, (c, k) in enumerate(terms):
+        sums[k] += c
+        if c < 0:
+            sign = "-"
+        else:  # only the leading sign may be left out
+            sign = "+" if i else draw(st.sampled_from(["", "+"]))
+        text += f"{sign}{sp()}{written(abs(c), k)}{sp()}"
+    top = max(k for k, c in sums.items() if c) if any(sums.values()) else 0
+    return text, tuple(sums[k] for k in range(top + 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dense_texts())
+def test_parse_expression_matches_a_fraction_reference(case):
+    text, coeffs = case
+    f = parse_poly(text)
+    assert isinstance(f, DensePoly)
+    assert f.coefficients == coeffs
+
+
 # the token characters, blanks, a non-ASCII decimal digit that int() reads,
 # and two characters the tokenizer must reject
 PARSER_ALPHABET = list("x0123456789+-*^/() \t") + ["\u0663", "\u00b2", "y"]

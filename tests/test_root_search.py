@@ -65,8 +65,8 @@ def test_find_rational_roots_matches_sympy():
         f, factored = case
         expected = _sympy_rational_roots(f)
         assert expected == dict(factored.roots)
-        if sum(expected.values()) < f.degree:
-            with pytest.raises(SplittingFieldNotQ):
+        if (left := f.degree - sum(expected.values())) > 0:
+            with pytest.raises(SplittingFieldNotQ, match=f"^a degree-{left} factor "):
                 find_rational_roots(f)
             reached["does not split"] += 1
         else:
@@ -75,6 +75,32 @@ def test_find_rational_roots_matches_sympy():
 
     check()
     assert min(reached.values()) >= 30, reached
+
+
+def _expanded(*factors: list) -> DensePoly:
+    """The product of the factors, each a coefficient list with its constant term first."""
+    coeffs = [1]
+    for factor in factors:
+        coeffs = poly_mul(coeffs, factor)
+    return DensePoly(tuple(F(c) for c in coeffs))
+
+
+@pytest.mark.parametrize(
+    "factors, degree",
+    [
+        ([[1, 0, 1]] * 2 + [[-1, 1]] * 3, 4),  # (x^2 + 1)^2 (x - 1)^3
+        ([[-3, 2]] * 5 + [[-2, 0, 1]], 2),  # (2x - 3)^5 (x^2 - 2)
+    ],
+)
+def test_the_failure_names_the_degree_no_root_accounts_for(factors, degree):
+    with pytest.raises(SplittingFieldNotQ) as err:
+        find_rational_roots(_expanded(*factors))
+    assert str(err.value) == f"a degree-{degree} factor has no rational roots"
+
+
+def test_zero_root_is_kept_beside_a_multiple_root():
+    f = find_rational_roots(_expanded(*[[0, 1]] * 3, *[[-5, 1]] * 4))  # x^3 (x - 5)^4
+    assert f == FactoredPoly(F(1), ((F(0), 3), (F(5), 4)))
 
 
 def _sympy_gcd(a: list[int], b: list[int]) -> list[int]:
