@@ -23,8 +23,9 @@ and ``counts_from_coeffs`` keep the rational-arithmetic reference.  The
 brute-force oracle counts the solutions of f = 0 mod p**m directly, in
 one walk over the residue classes that hold them: each class carries its
 own polynomial, its content counts the whole class at once, and only the
-classes at a multiple root mod p (found by a sweep over the p residues)
-are walked a digit deeper, so at most deg f classes are live per level.
+classes at a multiple root mod p (found by the root search's scan over
+the p residues below p = 50, by numpy arrays from there on) are walked a
+digit deeper, so at most deg f classes are live per level.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from operator import add
 
 from .errors import CapExceeded, LocalZetaError, NegativeShift, NonIntegralCount
 from .padic import PAdicContext
-from .polynomials import DensePoly, FactoredPoly, as_integer_poly, require_integral
+from .polynomials import DensePoly, FactoredPoly, as_integer_poly, require_integral, roots_mod
 from .ratfunc import RationalFunctionT, _trimmed, decimal  # decimal is re-exported
 from .zeta import ZetaFunction, _div_binomial, compute_zeta, poincare
 
@@ -82,7 +83,7 @@ def tree_counts(z: ZetaFunction, n: int) -> list[int]:
     if z.shift < 0:
         raise NegativeShift(f"shift {z.shift} < 0: not a power series in t")
     p = z.ctx.p
-    scale, cs = z.scaled_coeffs()
+    scale, cs = z.scaled_coeffs
     buckets: dict[int, dict[int, int]] = {}
     for term, c in zip(z.terms, cs):
         start = term.t_pow + z.shift
@@ -225,8 +226,8 @@ def brute_counts_upto(
     Let p**v be the content of g, capped at p**(n - w): every residue of
     the class solves f = 0 mod p**j for w < j <= w + v, which adds
     p**(j - m) to N_j.  Divided by p**v, with w raised by v, g keeps
-    deeper solutions only at its roots k mod p (``_roots_mod_p``: a Python
-    loop below _ARRAY_SWEEP, else arrays, int64 while p < _VECTOR_LIMIT and
+    deeper solutions only at its roots k mod p (``_roots_mod_p``: the shared
+    scan below _ARRAY_SWEEP, else arrays, int64 while p < _VECTOR_LIMIT and
     Python ints above, at most _BLOCK at a time).  A simple root goes on
     one digit at a time in closed form, adding p**(w - m) to every N_j
     with j > w; a multiple root k is walked as (m + 1, g(k + p*y), w).
@@ -290,20 +291,13 @@ def brute_counts_upto(
 def _roots_mod_p(coeffs: list[int], p: int) -> list[int]:
     """The roots of coeffs mod p, by Horner's rule on each of the p residues.
 
-    Below _ARRAY_SWEEP a Python loop is faster than numpy's per-call
-    overhead, and it spares the process the import of numpy.  From there
-    on the residues go through arrays of at most _BLOCK at a time.
+    Below _ARRAY_SWEEP the root search's scan is faster than numpy's
+    per-call overhead, and spares the process the import of numpy.  From
+    there on the residues go through arrays of at most _BLOCK at a time.
     """
-    cs = [c % p for c in coeffs]
     if p < _ARRAY_SWEEP:
-        roots = []
-        for x in range(p):
-            acc = 0
-            for c in reversed(cs):
-                acc = (acc * x + c) % p
-            if not acc:
-                roots.append(x)
-        return roots
+        return list(roots_mod(coeffs, p))
+    cs = [c % p for c in coeffs]
     import numpy as np  # here only, so that importing the package does not load numpy
 
     dtype = np.int64 if p < _VECTOR_LIMIT else object

@@ -8,9 +8,10 @@ rational) and takes time polynomial in the degree and the coefficient
 size; no integer is factored.  Following Loos (SIAM J. Comput. 12, 1983),
 the roots of the squarefree part mod the least prime q at which they are
 all simple are Newton-lifted q-adically until a bound on the root size is
-passed, and each lift is tested exactly.  A root's multiplicity is read
-off gcd(P, P') of the primitive integer form P, which the squarefree part
-needs anyway, so P itself is never divided.
+passed, and each lift is tested exactly.  The count oracle shares the
+residue scan (``roots_mod``) below p = 50.  ``poly_gcd`` hands back
+G = gcd(P, P') with the squarefree part P / G, and a root's multiplicity
+is read off G, so P itself is never divided.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import (
     ConstantPolynomial,
@@ -326,6 +328,17 @@ def _value_mod(ints: list[int], x: int, m: int) -> int:
     return acc
 
 
+def roots_mod(coeffs: list[int], q: int) -> Iterator[int]:
+    """The roots mod the prime q of coeffs (constant term first), ascending and one at a time."""
+    cs = [c % q for c in reversed(coeffs)]
+    for x in range(q):
+        acc = 0
+        for c in cs:
+            acc = (acc * x + c) % q
+        if not acc:
+            yield x
+
+
 def _simple_roots_mod(s: list[int], ds: list[int]) -> tuple[int, list[int]]:
     """The least prime q with every root of s mod q simple, and those roots.
 
@@ -337,13 +350,12 @@ def _simple_roots_mod(s: list[int], ds: list[int]) -> tuple[int, list[int]]:
         q += 1
         if not is_prime(q) or s[-1] % q == 0:
             continue
-        cs, dcs = [c % q for c in s], [c % q for c in ds]
+        dcs = [c % q for c in ds]  # reduced once, not at every root
         roots = []
-        for x in range(q):
-            if _value_mod(cs, x, q) == 0:
-                if _value_mod(dcs, x, q) == 0:
-                    break  # a multiple root mod q: try the next prime
-                roots.append(x)
+        for x in roots_mod(s, q):
+            if _value_mod(dcs, x, q) == 0:
+                break  # a multiple root mod q: try the next prime
+            roots.append(x)
         else:
             return q, roots
 
@@ -385,14 +397,9 @@ def find_rational_roots(f: DensePoly) -> FactoredPoly:
     if f.degree == 0:
         raise ConstantPolynomial("cannot factor a constant polynomial")
     unit = f.coefficients[-1]
-    roots: list[tuple[Fraction, int]] = []
-    work = list(f.coefficients)
-    zeros = 0
-    while work[0] == 0:
-        work.pop(0)
-        zeros += 1
-    if zeros:
-        roots.append((Fraction(0), zeros))
+    zeros = next(i for i, c in enumerate(f.coefficients) if c)
+    roots: list[tuple[Fraction, int]] = [(Fraction(0), zeros)] if zeros else []
+    work = _primitive(f.coefficients[zeros:])
     left = len(work) - 1  # the degree no root found so far accounts for
     if left:
         # The roots of P, the primitive integer form, are those of its
@@ -401,9 +408,7 @@ def find_rational_roots(f: DensePoly) -> FactoredPoly:
         # _lift_root).  A root a/b of multiplicity e in P has multiplicity
         # e - 1 in G, so e is 1 plus the number of times G divides by
         # (b*x - a); by Gauss's lemma each quotient stays in Z[x].
-        work = _primitive(work)
-        g = poly_gcd(work, [i * c for i, c in enumerate(work)][1:])
-        s = _divide_exact(work, g)
+        g, s, _ = poly_gcd(work, [i * c for i, c in enumerate(work)][1:])
         ds = [i * c for i, c in enumerate(s)][1:]
         q, residues = _simple_roots_mod(s, ds)
         for rho in residues:

@@ -102,20 +102,21 @@ def _scaled_value(ints: list[int], a: int, b: int) -> int:
     return acc
 
 
-def poly_gcd(a: Coeffs, b: Coeffs) -> list[int]:
-    """Gcd over Q, returned primitive over Z with positive leading coefficient.
+def poly_gcd(a: Coeffs, b: Coeffs) -> tuple[list[int], list[int], list[int]]:
+    """(G, x/G, y/G): the gcd over Q of the primitive forms x, y of a, b.
 
-    Heuristic gcd (GCDHEU; Char, Geddes and Gonnet, J. Symbolic Comput. 7,
-    1989): with x, y the primitive forms and xi >= 2*min(|x|, |y|) + 2
-    (max norms), read gcd(x(xi), y(xi)) as symmetric base-xi digits.  If
-    the primitive part G of that polynomial divides both x and y, G is
-    their gcd.  Otherwise the spurious factor divides the resultant of the
+    G is primitive over Z with positive leading coefficient.  Heuristic gcd
+    (GCDHEU; Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): with
+    xi >= 2*min(|x|, |y|) + 2 (max norms), read gcd(x(xi), y(xi)) as
+    symmetric base-xi digits.  If the primitive part G of that polynomial
+    divides both x and y, G is their gcd, proved by the quotients returned
+    with it.  Otherwise the spurious factor divides the resultant of the
     cofactors, so a large enough xi succeeds and xi grows without a cap.
     """
     if poly_is_zero(a):
-        return [1] if poly_is_zero(b) else _primitive(b)
+        return ([1], [0], [0]) if poly_is_zero(b) else (_primitive(b), [0], [1])
     if poly_is_zero(b):
-        return _primitive(a)
+        return _primitive(a), [1], [0]
     x, y = _primitive(a), _primitive(b)
     xi = 2 * min(max(map(abs, x)), max(map(abs, y))) + 2
     while True:
@@ -128,10 +129,9 @@ def poly_gcd(a: Coeffs, b: Coeffs) -> list[int]:
             digits.append(d)
             gamma = (gamma - d) // xi
         g = _primitive(digits)
-        if len(g) == 1 or (
-            _divide_exact(x, g) is not None and _divide_exact(y, g) is not None
-        ):
-            return g
+        qx, qy = (x, y) if len(g) == 1 else (_divide_exact(x, g), _divide_exact(y, g))
+        if qx is not None and qy is not None:
+            return g, qx, qy
         xi = 2 * xi + 1
 
 
@@ -161,7 +161,7 @@ def make_ratfunc(num: Coeffs, den: Coeffs) -> RationalFunctionT:
     lcm = math.lcm(*(c.denominator for c in n + d))
     ni = [int(c * lcm) for c in n]
     di = [int(c * lcm) for c in d]
-    g = poly_gcd(ni, di)
+    g, _, _ = poly_gcd(ni, di)
     if len(g) > 1:
         # Gauss: a primitive divisor over Q divides in Z[x] as well
         qn, qd = _divide_exact(ni, g), _divide_exact(di, g)

@@ -74,24 +74,21 @@ class ZetaFunction:
     shift: int
     terms: tuple[ZetaTerm, ...]
 
+    @cached_property
     def scaled_coeffs(self) -> tuple[int, list[int]]:
         """(p**J, [c * p**(J - j) per term]), J the largest j: one common scale.
 
-        Formed on the first call and returned by every later one (the same
-        list, not to be modified): sorting the terms and the normal form
-        both read it.
+        Formed on the first read and kept (the same list, not to be
+        modified): sorting the terms, the normal form and the tree counts
+        all read it.
         """
-        return self._scaled
-
-    @cached_property
-    def _scaled(self) -> tuple[int, list[int]]:
         p, top = self.ctx.p, max((t.j for t in self.terms), default=0)
         shifts = {j: p ** (top - j) for j in {t.j for t in self.terms}}
         return p**top, [t.c * shifts[t.j] for t in self.terms]
 
     def sorted_terms(self) -> tuple[ZetaTerm, ...]:
         """Terms by t_pow, den_pow, then coefficient (as integers at their common scale)."""
-        _, cs = self.scaled_coeffs()
+        _, cs = self.scaled_coeffs
         keyed = sorted(zip(self.terms, cs), key=lambda tc: (tc[0].t_pow, tc[0].den_pow, tc[1]))
         return tuple(t for t, _ in keyed)
 
@@ -252,7 +249,7 @@ def _combined(z: ZetaFunction) -> tuple[list[int], int, int, list[int]]:
     """
     p = z.ctx.p
     bs = sorted({t.den_pow for t in z.terms if t.den_pow})
-    scale, cs = z.scaled_coeffs()
+    scale, cs = z.scaled_coeffs
     buckets: dict[int, list[int]] = {b: [] for b in [0, *bs]}
     for term, c in zip(z.terms, cs):
         bucket = buckets[term.den_pow]
@@ -413,6 +410,8 @@ def zeta_from_json(doc: dict | str) -> ZetaFunction:
     try:
         if isinstance(doc, str):
             doc = json.loads(doc)
+        if not isinstance(doc["terms"], list):
+            raise MalformedDocument("zeta_from_json: terms must be a list")
         raw = []
         for i, t in enumerate(doc["terms"]):
             coeff = t["coeff"]

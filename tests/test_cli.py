@@ -303,15 +303,26 @@ def test_brute_sweeps_a_large_prime_in_arrays(capsys):
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    # only the count oracle's sweep mod p uses numpy, so zeta, poincare and
-    # keystream calls do not pay for importing it
+    # only the count oracle's sweep mod p >= 50 uses numpy, so zeta, poincare
+    # and keystream calls do not pay for importing it; nor does the root
+    # search, whose residue scan the oracle shares below p = 50: the expanded
+    # (x - 1)...(x - 50) scans q = 53, and the brute count at p = 7 walks a
+    # multiple root
     src = str(Path(localzeta.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, localzeta.cli; print(localzeta.cli.__file__, 'numpy' in sys.modules)"
+    code = (
+        "import sys, localzeta.cli\n"
+        "from localzeta import FactoredPoly, find_rational_roots\n"
+        "f = FactoredPoly(1, tuple((k, 1) for k in range(1, 51)))\n"
+        "print(find_rational_roots(f.expand()) == f)\n"
+        "argv = ['count', '--poly', '(x-1)^2*(x-8)', '--prime', '7', '--max-m', '4', '--method', 'brute']\n"
+        "print(localzeta.cli.main(argv), localzeta.cli.__file__, 'numpy' in sys.modules)\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout
-    assert out == f"{localzeta.cli.__file__} False\n"
+    counts = "".join(f"N_{m} = {n}\n" for m, n in enumerate([1, 1, 7, 49, 98]))
+    assert out == f"True\n{counts}0 {localzeta.cli.__file__} False\n"
 
 
 def test_brute_cap_env_var(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -329,6 +330,71 @@ def test_zeta_json_round_trips_on_both_evaluators(case, method):
     f, p, _, _ = case
     z = compute_zeta(f, PAdicContext(p), method=method)
     assert zeta_from_json(json.dumps(zeta_to_json(z))) == z
+
+
+# values a field of a zeta document may be edited to: right and wrong types,
+# coefficients with and without a power of p below, and nested junk (copied
+# on each draw, since later edits may change it in place)
+JUNK = st.sampled_from([
+    None, True, 1.5, "", "x", "1/0", "0x1", " 1", "0.5", "1e2", "-2/9", "7/4", [], {}, [1],
+    {"coeff": "1", "t_pow": 0, "den_pow": 0}, -2, -1, 0, 1, 3, "10", 10**30,
+]).map(copy.deepcopy)
+
+
+@st.composite
+def edited_zeta_documents(draw):
+    """(doc, z): zeta_to_json of a route case's Z, and z, after zero to three edits.
+
+    z is None once the document is edited.  p is edited only to a prime or
+    to a value that is no integer: an integer that is not prime raises
+    InvalidPrime, the command line's error for it, as in tree_from_json.
+    """
+    f, p, _, _ = draw(route_cases())
+    z = compute_zeta(f, PAdicContext(p), method=draw(st.sampled_from(["tree", "spf"])))
+    doc = json.loads(json.dumps(zeta_to_json(z)))
+    for _ in range(draw(st.integers(0, 3))):
+        z = None
+        terms = doc.get("terms")
+        kind = draw(st.sampled_from(["p", "shift", "terms", "term", "drop"]))
+        if kind == "p":
+            doc["p"] = draw(st.sampled_from([2, "3", 5, "101", 1.5, "x", None, [3], "0x3"]))
+        elif kind == "shift":
+            doc["shift"] = draw(JUNK | st.integers(-10, 10))
+        elif kind == "drop":
+            doc.pop(draw(st.sampled_from(["p", "shift", "terms", "normalized"])), None)
+        elif kind == "terms" or not isinstance(terms, list) or not terms:
+            doc["terms"] = draw(JUNK | st.lists(JUNK, max_size=2))
+        elif draw(st.booleans()):
+            term = terms[draw(st.integers(0, len(terms) - 1))]
+            if isinstance(term, dict):
+                field = draw(st.sampled_from(["coeff", "t_pow", "den_pow"]))
+                if draw(st.booleans()):
+                    term[field] = draw(JUNK | st.integers(-3, 40))
+                else:
+                    term.pop(field, None)
+        else:
+            i = draw(st.integers(0, len(terms) - 1))
+            terms.insert(draw(st.integers(0, len(terms))), terms.pop(i) if draw(st.booleans()) else terms[i])
+    return doc, z
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(edited_zeta_documents())
+def test_zeta_reader_gives_a_zeta_function_or_a_malformed_document(case):
+    # an unedited document round-trips; an edited one is read or refused, and
+    # a Z it reads has one term per listed term, each c/p**j in lowest terms
+    # with both exponents >= 0
+    doc, z = case
+    try:
+        read = zeta_from_json(doc)
+    except MalformedDocument:
+        assert z is None
+        return
+    assert z is None or read == z
+    assert isinstance(doc["terms"], list) and len(read.terms) == len(doc["terms"])
+    p = read.ctx.p
+    for term in read.terms:
+        assert min(term.j, term.t_pow, term.den_pow) >= 0 and (term.j == 0 or term.c % p), term
 
 
 def test_keystream_needs_no_fraction_and_no_normal_form(monkeypatch):

@@ -2,14 +2,24 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import localzeta.polynomials
 import localzeta.ratfunc
-from localzeta import DensePoly, FactoredPoly, SplittingFieldNotQ, find_rational_roots
-from localzeta.ratfunc import poly_gcd, poly_mul
+from localzeta import (
+    DensePoly,
+    FactoredPoly,
+    SplittingFieldNotQ,
+    find_rational_roots,
+    parse_poly,
+)
+from localzeta.polynomials import roots_mod
+from localzeta.ratfunc import _primitive, poly_mul
 
 sympy = pytest.importorskip("sympy")
 
@@ -17,6 +27,25 @@ F = Fraction
 X = sympy.Symbol("x")
 # from 1 up to primes near 10^6 and 2^31
 DENOMINATORS = [1, 2, 3, 7, 12, 35, 999983, 1000003, 2**31 - 1]
+
+
+@pytest.fixture(autouse=True)
+def gcds_carry_their_proof(monkeypatch):
+    """Every poly_gcd result here is checked: G * (x/G) = x and G * (y/G) = y.
+
+    x and y are the primitive forms of the arguments; the root search reads
+    its squarefree part P / G off the first quotient.
+    """
+    gcd = localzeta.ratfunc.poly_gcd
+
+    def checked(a, b):
+        g, qx, qy = result = gcd(a, b)
+        assert poly_mul(g, qx) == _primitive(a), (a, b, result)
+        assert poly_mul(g, qy) == _primitive(b), (a, b, result)
+        return result
+
+    monkeypatch.setattr(localzeta.ratfunc, "poly_gcd", checked)
+    monkeypatch.setattr(localzeta.polynomials, "poly_gcd", checked)
 
 
 def _is_square(n: int) -> bool:
@@ -116,6 +145,11 @@ small_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(lambda
 def test_poly_gcd_matches_sympy(monkeypatch):
     # small coefficients often put a spurious factor into gcd(a(xi), b(xi)),
     # so the retry with a larger xi runs too
+    def poly_gcd(a, b):
+        # G alone: with derandomize, check's source text seeds its examples,
+        # so its body keeps the name and the comparison it had
+        return localzeta.ratfunc.poly_gcd(a, b)[0]
+
     evaluations = []
     value = localzeta.ratfunc._scaled_value
     monkeypatch.setattr(
@@ -140,7 +174,76 @@ def test_poly_gcd_matches_sympy(monkeypatch):
 
 
 def test_poly_gcd_zero_and_constant_arguments():
-    assert poly_gcd([0], [0]) == [1]
-    assert poly_gcd([0], [F(-2, 3), F(4, 3)]) == [-1, 2]
-    assert poly_gcd([6, 4], [0]) == [3, 2]
-    assert poly_gcd([5], [1, 1]) == [1]
+    gcd = localzeta.ratfunc.poly_gcd
+    assert gcd([0], [0]) == ([1], [0], [0])
+    assert gcd([0], [F(-2, 3), F(4, 3)]) == ([-1, 2], [0], [1])
+    assert gcd([6, 4], [0]) == ([3, 2], [1], [0])
+    assert gcd([5], [1, 1]) == ([1], [1], [1, 1])
+
+
+def test_no_root_search_divides_the_same_pair_twice(monkeypatch):
+    # poly_gcd proves G = gcd(P, P') by dividing P and P' by it and hands the
+    # quotients back, so the squarefree part P / G is not divided out again;
+    # spied over the dense-bigp benchmark inputs of seeds 1-3
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    corpus = pytest.importorskip("corpus")
+    calls = []
+    divide = localzeta.ratfunc._divide_exact
+
+    def spy(a, b):
+        calls.append((tuple(a), tuple(b)))
+        return divide(a, b)
+
+    monkeypatch.setattr(localzeta.ratfunc, "_divide_exact", spy)
+    monkeypatch.setattr(localzeta.polynomials, "_divide_exact", spy)
+    searches = 0
+    for seed in (1, 2, 3):
+        for case in corpus.build("dense-bigp", seed):
+            calls.clear()
+            poly = case.poly
+            assert find_rational_roots(parse_poly(poly.text)) == FactoredPoly(poly.unit, poly.roots)
+            assert calls and len(set(calls)) == len(calls), calls
+            searches += 1
+    assert searches == 27
+
+
+@st.composite
+def scan_cases(draw):
+    """(coeffs, q, k): prod (x - r)**e times a cofactor, moved by multiples of q.
+
+    q is a prime below 2**12; the roots may repeat or meet mod q, and half
+    the cases get a leading coefficient that q divides.
+    """
+    q = draw(st.sampled_from(list(sympy.primerange(2**12))))
+    coeffs = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=3))
+    for r, e in draw(st.lists(st.tuples(st.integers(-10**4, 10**4), st.integers(1, 3)), max_size=4)):
+        for _ in range(e):
+            coeffs = poly_mul(coeffs, [-r, 1])
+    coeffs = [c + q * draw(st.integers(-3, 3)) for c in coeffs]
+    if draw(st.booleans()):
+        coeffs.append(q * draw(st.integers(-5, 5)))
+    return coeffs, q, draw(st.integers(0, 3))
+
+
+def test_residue_scan_matches_a_direct_sweep():
+    # the root search and the count oracle below p = 50 share roots_mod; a
+    # kernel that replaces it must pass this test unchanged
+    reached = {"multiple root": 0, "q | lc": 0, "stopped early": 0}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(scan_cases())
+    def check(case):
+        coeffs, q, k = case
+        expected = [x for x in range(q)
+                    if sum(c * pow(x, i, q) for i, c in enumerate(coeffs)) % q == 0]
+        assert list(roots_mod(coeffs, q)) == expected
+        assert list(islice(roots_mod(coeffs, q), k)) == expected[:k]
+        slopes = [i * c for i, c in enumerate(coeffs)][1:]
+        reached["multiple root"] += any(
+            sum(c * pow(x, i, q) for i, c in enumerate(slopes)) % q == 0 for x in expected
+        )
+        reached["q | lc"] += coeffs[-1] % q == 0
+        reached["stopped early"] += k < len(expected)
+
+    check()
+    assert min(reached.values()) >= 20, reached

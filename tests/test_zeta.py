@@ -630,7 +630,8 @@ def test_poincare_measure_check_survives_optimize():
 
 
 def test_make_ratfunc_checks_the_gcd_division(monkeypatch):
-    monkeypatch.setattr(localzeta.ratfunc, "poly_gcd", lambda a, b: [1, 1])
+    # a wrong G with the quotients of a G that divides: make_ratfunc divides by G itself
+    monkeypatch.setattr(localzeta.ratfunc, "poly_gcd", lambda a, b: ([1, 1], [1], [2, 1]))
     with pytest.raises(InvariantViolation, match="make_ratfunc"):
         make_ratfunc([1], [2, 1])
 
@@ -698,6 +699,13 @@ def test_zeta_from_json_rejects_negative_exponents():
 def test_zeta_from_json_rejects_missing_fields():
     with pytest.raises(MalformedDocument, match="zeta_from_json"):
         zeta_from_json('{"p": "3"}')
+
+
+@pytest.mark.parametrize("terms", [{}, "", None, 0, {"coeff": "1", "t_pow": 0, "den_pow": 0}])
+def test_zeta_from_json_refuses_terms_that_are_no_list(terms):
+    # {} and "" used to read as a Z with no terms
+    with pytest.raises(MalformedDocument, match="^zeta_from_json: terms must be a list$"):
+        zeta_from_json({"p": "3", "shift": 0, "terms": terms})
 
 
 def test_zeta_from_json_rejects_a_non_numeric_coefficient():
