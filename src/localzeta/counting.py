@@ -23,9 +23,11 @@ and ``counts_from_coeffs`` keep the rational-arithmetic reference.  The
 brute-force oracle counts the solutions of f = 0 mod p**m directly, in
 one walk over the residue classes that hold them: each class carries its
 own polynomial, its content counts the whole class at once, and only the
-classes at a multiple root mod p (found by the root search's scan over
-the p residues below p = 50, by numpy arrays from there on) are walked a
-digit deeper, so at most deg f classes are live per level.
+classes at a multiple root mod p (found by ``polynomials.roots_mod``, the
+root search's residue scan for small p and a gcd(g, x**p - x) kernel for
+large p) are walked a digit deeper, so at most deg f classes are live
+per level.  A class costs a polynomial number of steps in deg f, the
+depth and log p.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ from .ratfunc import RationalFunctionT, _trimmed, decimal  # decimal is re-expor
 from .zeta import ZetaFunction, _div_binomial, compute_zeta, poincare
 
 DEFAULT_CAP = 10**7
-_VECTOR_LIMIT = 2**31  # int64 stays exact: residues < 2**31, products < 2**62
-_BLOCK = 1 << 18
-_ARRAY_SWEEP = 50  # numpy sweeps mod p from here on, see _roots_mod_p
 
 
 def check_counts(counts: list[int], p: int) -> list[int]:
@@ -226,16 +225,23 @@ def brute_counts_upto(
     Let p**v be the content of g, capped at p**(n - w): every residue of
     the class solves f = 0 mod p**j for w < j <= w + v, which adds
     p**(j - m) to N_j.  Divided by p**v, with w raised by v, g keeps
-    deeper solutions only at its roots k mod p (``_roots_mod_p``: the shared
-    scan below _ARRAY_SWEEP, else arrays, int64 while p < _VECTOR_LIMIT and
-    Python ints above, at most _BLOCK at a time).  A simple root goes on
-    one digit at a time in closed form, adding p**(w - m) to every N_j
-    with j > w; a multiple root k is walked as (m + 1, g(k + p*y), w).
-    The child's g mod p has degree at most the multiplicity of k, so at
-    most deg f classes are live per level.  g is kept mod p**(n - w), the
-    only part the counts read, so no coefficient exceeds p**n.  The cap on
-    p**n no longer bounds the time; it stays as the command line's
-    contract.  The oracle never sees the factorisation or Z.
+    deeper solutions only at its roots k mod p (``roots_mod``: a residue
+    scan below polynomials._KERNEL_FROM, and from there on the split
+    factors of gcd(g, x**p - x), so each class costs O(d**2 log p) steps,
+    not O(d p)).  A simple root goes on one digit at a time in closed
+    form, adding p**(w - m) to every N_j with j > w: one entry at w + 1
+    in a suffix sum added once at the end.  A multiple root k is walked as
+    (m + 1, g(k + p*y), w), formed by one Kronecker product
+    (``_shifted_class``: its base-2**K digits, K = bits(max g) +
+    d*bits(k + p) + bits(d + 1), never carry).  The child's g mod p has
+    degree at most the multiplicity of k, so at most deg f classes are
+    live per level.  g is kept mod p**(n - w), the only part the counts
+    read, so no coefficient exceeds p**n, and its zero top coefficients
+    are dropped: the polynomial is the same, and the classes below work at
+    the degree that survives.  Coefficient j of g(k + p*y) is p**j times
+    an integer, so that degree is below n - w.  The cap on p**n does not
+    bound the time; it stays as the command line's contract.  The oracle
+    never sees the factorisation or Z.
     """
     if n < 0:
         raise LocalZetaError("max-m/length must be nonnegative")
@@ -255,7 +261,8 @@ def brute_counts_upto(
                     pass
             raise CapExceeded(f"{size} exceeds the cap {cap}")
     counts = [1] + [0] * n
-    classes = [(0, [c % powers[n] for c in coeffs], 0)]
+    closed = [0] * (n + 1)  # closed[j]: what every N_i, i >= j, gains from simple roots
+    classes = [(0, _trimmed([c % powers[n] for c in coeffs]), 0)]
     while classes:
         m, g, w = classes.pop()
         content, v = math.gcd(*g), 0
@@ -271,46 +278,41 @@ def brute_counts_upto(
         gbar = _trimmed([c % p for c in g])
         if len(gbar) == 1:  # a unit mod p: no deeper solutions
             continue
-        for k in _roots_mod_p(gbar, p):
+        for k in roots_mod(gbar, p):
             slope = 0  # g'(k) mod p
             for i in range(len(gbar) - 1, 0, -1):
                 slope = (slope * k + i * gbar[i]) % p
             if slope:
-                for j in range(w + 1, n + 1):
-                    counts[j] += powers[w - m]
+                closed[w + 1] += powers[w - m]
                 continue
-            child = [0] * len(g)  # g(k + p*y) by Horner's rule in y
-            for c in reversed(g):
-                for i in range(len(child) - 1, 0, -1):
-                    child[i] = child[i] * k + child[i - 1] * p
-                child[0] = child[0] * k + c
-            classes.append((m + 1, [c % powers[n - w] for c in child], w))
+            classes.append((m + 1, _shifted_class(g, k, p, powers[n - w]), w))
+    total = 0
+    for j in range(1, n + 1):
+        total += closed[j]
+        counts[j] += total
     return counts
 
 
-def _roots_mod_p(coeffs: list[int], p: int) -> list[int]:
-    """The roots of coeffs mod p, by Horner's rule on each of the p residues.
+def _shifted_class(g: list[int], k: int, p: int, mod: int) -> list[int]:
+    """g(k + p*y) mod `mod`, trailing zeros trimmed, for g != 0 with 0 <= g_i and 0 <= k.
 
-    Below _ARRAY_SWEEP the root search's scan is faster than numpy's
-    per-call overhead, and spares the process the import of numpy.  From
-    there on the residues go through arrays of at most _BLOCK at a time.
+    One Kronecker substitution (Harvey, J. Symb. Comput. 44, 2009): the
+    coefficients of g(k + p*y) are the base-2**K digits of g(X) at
+    X = k + p*2**K, formed by d Horner steps that each take one shift and
+    two products by small integers.  Digit j is sum_i g_i C(i, j)
+    k**(i - j) p**j <= max(g) (d + 1) (k + p)**d, so K = bits(max g) +
+    d*bits(k + p) + bits(d + 1) keeps every digit below 2**K and none
+    carries into the next.
     """
-    if p < _ARRAY_SWEEP:
-        return list(roots_mod(coeffs, p))
-    cs = [c % p for c in coeffs]
-    import numpy as np  # here only, so that importing the package does not load numpy
-
-    dtype = np.int64 if p < _VECTOR_LIMIT else object
-    roots = []
-    for start in range(0, p, _BLOCK):
-        xs = np.arange(start, min(start + _BLOCK, p)).astype(dtype, copy=False)
-        acc = np.full_like(xs, cs[-1])
-        for c in reversed(cs[:-1]):
-            acc *= xs
-            acc += c
-            acc %= p
-        roots.extend(xs[acc == 0].tolist())
-    return roots
+    shift = max(g).bit_length() + (len(g) - 1) * (k + p).bit_length() + len(g).bit_length()
+    acc = 0
+    for c in reversed(g):
+        acc = (acc * p << shift) + acc * k + c
+    mask, child = (1 << shift) - 1, []
+    while acc:
+        child.append((acc & mask) % mod)
+        acc >>= shift
+    return _trimmed(child)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,17 @@ rational) and takes time polynomial in the degree and the coefficient
 size; no integer is factored.  Following Loos (SIAM J. Comput. 12, 1983),
 the roots of the squarefree part mod the least prime q at which they are
 all simple are Newton-lifted q-adically until a bound on the root size is
-passed, and each lift is tested exactly.  The count oracle shares the
-residue scan (``roots_mod``) below p = 50.  ``poly_gcd`` hands back
-G = gcd(P, P') with the squarefree part P / G, and a root's multiplicity
-is read off G, so P itself is never divided.
+passed, and each lift is tested exactly.  The count oracle finds its
+roots mod p with the same ``roots_mod``: a residue scan for small q and
+a self-checking gcd(g, x**q - x) kernel for large q.  ``poly_gcd`` hands
+back G = gcd(P, P') with the squarefree part P / G, and a root's
+multiplicity is read off G, so P itself is never divided.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -32,7 +34,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .padic import PAdicContext, is_prime, residue, vp
-from .ratfunc import _divide_exact, _primitive, _scaled_value, poly_gcd, poly_trim
+from .ratfunc import _divide_exact, _primitive, _scaled_value, _trimmed, poly_gcd, poly_trim
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +331,16 @@ def _value_mod(ints: list[int], x: int, m: int) -> int:
 
 
 def roots_mod(coeffs: list[int], q: int) -> Iterator[int]:
-    """The roots mod the prime q of coeffs (constant term first), ascending and one at a time."""
+    """The roots mod the prime q of coeffs (constant term first), ascending and one at a time.
+
+    Below _KERNEL_FROM Horner's rule runs on each of the q residues.  From
+    there on the roots are the split linear factors of gcd(g, x**q - x),
+    g = coeffs mod q (``_kernel_roots``), at O(d**2 log q) steps for g of
+    degree d in place of O(d q).  The zero polynomial has every residue.
+    """
+    if q >= _KERNEL_FROM:
+        yield from _kernel_roots(coeffs, q)
+        return
     cs = [c % q for c in reversed(coeffs)]
     for x in range(q):
         acc = 0
@@ -337,6 +348,100 @@ def roots_mod(coeffs: list[int], q: int) -> Iterator[int]:
             acc = (acc * x + c) % q
         if not acc:
             yield x
+
+
+# per call the kernel beats the scan from q = 200-500 at degree <= 8, but only
+# near q = 1000 on g of degree 25 with 25 roots mod q, as the root search's s is
+_KERNEL_FROM = 1000
+
+
+def _kernel_roots(coeffs: list[int], q: int) -> list[int] | range:
+    """The roots of coeffs mod the prime q, ascending, checked before they are returned.
+
+    Rabin (SIAM J. Comput. 9, 1980) and Cantor and Zassenhaus (Math. Comp.
+    36, 1981): for monic g mod q, h = gcd(g, x**q - x) is the product of
+    x - r over the distinct roots r, x**q mod g coming from repeated
+    squaring.  h splits as gcd(h, (x + a)**((q - 1)/2) - 1) times the
+    quotient for some a mod q, drawn from a fixed seed, and each part is
+    split again until it is linear.  deg h = q only for h = x**q - x.  The
+    roots must number deg h and each must be a root of coeffs by Horner's
+    rule, or InvariantViolation is raised: the kernel never miscounts in
+    silence.
+    """
+    g = _trimmed_mod(coeffs, q)
+    if len(g) == 1:
+        return range(q) if g[0] == 0 else []
+    g = _monic(g, q)
+    xq = _pow_shifted(0, q, g, q) + [0, 0]  # x**q - x mod g, with room for the x term
+    xq[1] -= 1
+    h = _gcd_mod(g, xq, q)
+    pending, roots, rng = [h], [], random.Random(0)
+    while pending:
+        part = pending.pop()
+        d = len(part) - 1
+        if d == q:
+            roots.extend(range(q))
+        elif d == 1:
+            roots.append(-part[0] % q)
+        elif d > 1:
+            while True:
+                w = _pow_shifted(rng.randrange(q), (q - 1) // 2, part, q)
+                w[0] -= 1
+                factor = _gcd_mod(part, w, q)
+                if 1 < len(factor) < len(part):
+                    pending += [factor, _divmod_mod(part, factor, q)[0]]
+                    break
+    roots.sort()
+    if len(roots) != len(h) - 1 or len(set(roots)) != len(roots) or any(
+        _value_mod(coeffs, r, q) for r in roots
+    ):
+        raise InvariantViolation(f"roots_mod: the roots {roots[:8]} do not split gcd(g, x^q - x) mod {q}")
+    return roots
+
+
+def _trimmed_mod(coeffs: list[int], q: int) -> list[int]:
+    return _trimmed([c % q for c in coeffs] or [0])
+
+
+def _monic(g: list[int], q: int) -> list[int]:
+    inv = pow(g[-1], -1, q)
+    return [c * inv % q for c in g]
+
+
+def _divmod_mod(a: list[int], g: list[int], q: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic g mod q, the remainder trimmed."""
+    a, d = list(a), len(g) - 1
+    quot = [0] * max(len(a) - d, 1)
+    for i in range(len(a) - 1, d - 1, -1):
+        c = a[i] % q
+        if c:
+            quot[i - d] = c
+            a[i - d : i] = [x - c * y for x, y in zip(a[i - d : i], g)]
+    return quot, _trimmed_mod(a[:d], q)
+
+
+def _gcd_mod(a: list[int], b: list[int], q: int) -> list[int]:
+    """The monic gcd of a and b mod q, a nonzero."""
+    a, b = _monic(_trimmed_mod(a, q), q), _trimmed_mod(b, q)
+    while b != [0]:
+        b = _monic(b, q)
+        a, b = b, _divmod_mod(a, b, q)[1]
+    return a
+
+
+def _pow_shifted(a: int, e: int, g: list[int], q: int) -> list[int]:
+    """(x + a)**e mod the monic g mod q, e >= 1, by left-to-right squaring."""
+    acc = _divmod_mod([a, 1], g, q)[1]
+    for bit in bin(e)[3:]:
+        square = [0] * (2 * len(acc) - 1)
+        for i, x in enumerate(acc):
+            if x:
+                for j, y in enumerate(acc, i):
+                    square[j] += x * y
+        acc = _divmod_mod(square, g, q)[1]
+        if bit == "1":  # times x + a: one shift and one reduction step
+            acc = _divmod_mod([a * c + b for b, c in zip([0, *acc], [*acc, 0])], g, q)[1]
+    return acc
 
 
 def _simple_roots_mod(s: list[int], ds: list[int]) -> tuple[int, list[int]]:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -401,11 +402,28 @@ def zeta_to_json(z: ZetaFunction) -> dict:
     }
 
 
+_RATIO = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _json_coeff(value: object, field: str) -> Fraction:
+    if isinstance(value, str) and _RATIO.fullmatch(value):
+        num, _, den = value.partition("/")
+        if int(den or 1):
+            return Fraction(int(num), int(den or 1))
+    elif not isinstance(value, str):
+        return Fraction(json_int(value, "zeta_from_json", field))
+    raise MalformedDocument(
+        f"zeta_from_json: {field} must be an integer or integer/positive integer, not {value!r:.60}"
+    )
+
+
 def zeta_from_json(doc: dict | str) -> ZetaFunction:
     """Inverse of zeta_to_json, ignoring `normalized`; each coeff n/d must have d = p**j.
 
-    The integers go through ``tree.json_int``; a coefficient is a string
-    such as "-2/27" or an integer, so a float or boolean is refused.
+    The integers go through ``tree.json_int``; a coefficient is an integer
+    or a string "n" or "n/d" of decimal integers with d > 0, such as
+    "-2/27", so a float, a boolean, exponent notation ("1e9"), a decimal
+    point, a sign "+" or a blank is refused.
     """
     try:
         if isinstance(doc, str):
@@ -414,11 +432,9 @@ def zeta_from_json(doc: dict | str) -> ZetaFunction:
             raise MalformedDocument("zeta_from_json: terms must be a list")
         raw = []
         for i, t in enumerate(doc["terms"]):
-            coeff = t["coeff"]
-            if not isinstance(coeff, str):  # Fraction would take a float's binary value
-                coeff = json_int(coeff, "zeta_from_json", f"term {i} coeff")
+            coeff = _json_coeff(t["coeff"], f"term {i} coeff")
             a, b = (json_int(t[k], "zeta_from_json", f"term {i} {k}") for k in ("t_pow", "den_pow"))
-            raw.append((Fraction(coeff), a, b))
+            raw.append((coeff, a, b))
         p, shift = (json_int(doc[k], "zeta_from_json", k) for k in ("p", "shift"))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedDocument(f"zeta_from_json: {exc!r}") from exc

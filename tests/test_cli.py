@@ -18,6 +18,7 @@ from localzeta import (
     compute_zeta,
     counts_from_coeffs,
     parse_poly,
+    solution_counts,
     tree_from_json,
     zeta_from_json,
 )
@@ -290,8 +291,9 @@ def test_crosscheck_commands_name_the_first_failing_stage(capsys, command, error
 
 
 def test_brute_sweeps_a_large_prime_in_arrays(capsys):
-    # level 0 evaluates f at all 1000003 residues mod p; a loop over them
-    # in Python would take about a second
+    # level 0 finds the roots mod p of f from gcd(f, x^p - x), in O(log p)
+    # products mod f; a loop over the 1000003 residues in Python would take
+    # about a second
     start = time.perf_counter()
     status, out, _ = run_cli(
         capsys, "count", "--poly", "x^3 - 2", "--prime", "1000003", "--max-m", "1",
@@ -303,26 +305,31 @@ def test_brute_sweeps_a_large_prime_in_arrays(capsys):
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    # only the count oracle's sweep mod p >= 50 uses numpy, so zeta, poincare
-    # and keystream calls do not pay for importing it; nor does the root
-    # search, whose residue scan the oracle shares below p = 50: the expanded
-    # (x - 1)...(x - 50) scans q = 53, and the brute count at p = 7 walks a
-    # multiple root
+    # no command loads numpy: not zeta, poincare or keystream, not the root
+    # search, whose residue scan the oracle shares below the kernel's
+    # threshold (the expanded (x - 1)...(x - 50) scans q = 53), and not the
+    # brute count, which walks a multiple root at p = 7 with the scan and at
+    # p = 1000003 with the kernel
     src = str(Path(localzeta.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    big = ["count", "--poly", "(x-1)^2*(x-4)*(x-10)^3", "--prime", "1000003", "--max-m", "3",
+           "--method", "brute", "--brute-cap", str(1000003**3)]
     code = (
         "import sys, localzeta.cli\n"
         "from localzeta import FactoredPoly, find_rational_roots\n"
         "f = FactoredPoly(1, tuple((k, 1) for k in range(1, 51)))\n"
         "print(find_rational_roots(f.expand()) == f)\n"
+        f"print(localzeta.cli.main({big!r}))\n"
         "argv = ['count', '--poly', '(x-1)^2*(x-8)', '--prime', '7', '--max-m', '4', '--method', 'brute']\n"
         "print(localzeta.cli.main(argv), localzeta.cli.__file__, 'numpy' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout
+    f = parse_poly("(x-1)^2*(x-4)*(x-10)^3")
+    deep = "".join(f"N_{m} = {n}\n" for m, n in enumerate(solution_counts(f, PAdicContext(1000003), 3)))
     counts = "".join(f"N_{m} = {n}\n" for m, n in enumerate([1, 1, 7, 49, 98]))
-    assert out == f"True\n{counts}0 {localzeta.cli.__file__} False\n"
+    assert out == f"True\n{deep}0\n{counts}0 {localzeta.cli.__file__} False\n"
 
 
 def test_brute_cap_env_var(capsys, monkeypatch):

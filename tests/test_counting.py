@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import random
@@ -16,6 +17,7 @@ from localzeta import (
     DensePoly,
     FactoredPoly,
     IntegralityError,
+    InvariantViolation,
     LocalZetaError,
     MalformedDocument,
     NegativeShift,
@@ -40,6 +42,7 @@ from localzeta import (
     zeta_to_json,
 )
 from localzeta.counting import check_counts, poincare_counts, tree_counts
+from localzeta.polynomials import roots_mod
 from localzeta.zeta import _div_binomial
 from poincare_reference import dense_poincare_counts
 
@@ -131,37 +134,92 @@ def test_brute_counts_upto_matches_single_counts():
     assert upto == [brute_counts_upto(f, ctx, n)[-1] for n in range(6)]
 
 
-def test_brute_python_fallback_agrees():
-    import localzeta.counting as counting
+def direct_roots(coeffs: list[int], q: int) -> list[int]:
+    """The x in range(q) with f(x) = 0 mod q, f evaluated exactly at every x.
 
-    ctx = PAdicContext(7)
-    f = DensePoly(tuple(F(c) for c in (-36, 0, 1)))
-    fast = brute_counts_upto(f, ctx, 4)
-    old = counting._VECTOR_LIMIT
-    counting._VECTOR_LIMIT = 1  # force the Python-int path
-    try:
-        slow = brute_counts_upto(f, ctx, 4)
-    finally:
-        counting._VECTOR_LIMIT = old
-    assert fast == slow
+    f(0), f(1), ... come from the differences Delta^j f(0), j <= deg f,
+    summed up deg f times by itertools.accumulate, so a sweep of 10**6
+    residues stays in C.
+    """
+    d = len(coeffs) - 1
+    values = [sum(c * x**i for i, c in enumerate(coeffs)) for x in range(d + 1)]
+    diffs = []  # Delta^j f(0)
+    for _ in range(d + 1):
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    seq = itertools.repeat(diffs[d], q)  # Delta^d f is constant
+    for j in range(d - 1, -1, -1):
+        seq = itertools.accumulate(seq, initial=diffs[j])
+    return [x for x, value in enumerate(itertools.islice(seq, q)) if not value % q]
+
+
+SWEEP_PRIMES = (2, 7, 47, 53, 101, 1009, 1000003)
+
+
+def test_brute_python_fallback_agrees(monkeypatch):
+    # the walk finds each class polynomial's roots with roots_mod, by the
+    # residue scan below polynomials._KERNEL_FROM and by the gcd kernel from
+    # there on: force each at every p, against a direct count mod p**j; f has
+    # a double root, and a triple one mod 7
+    import localzeta.polynomials as polynomials
+
+    coeffs = poly_mul_int(poly_mul_int([-6, 1], [-6, 1]), [1, 1])
+    f = DensePoly(tuple(F(c) for c in coeffs))
+    for p in SWEEP_PRIMES:
+        n = max(n for n in range(1, 9) if p**n <= 10**6 + 3)
+        expected = [1] + [len(direct_roots(coeffs, p**j)) for j in range(1, n + 1)]
+        for start in (0, 10**13):
+            monkeypatch.setattr(polynomials, "_KERNEL_FROM", start)
+            assert brute_counts_upto(f, PAdicContext(p), n, cap=p**n) == expected, (p, start)
 
 
 def test_root_sweeps_agree_on_both_sides_of_the_array_threshold(monkeypatch):
-    # small p loops over the residues in Python; larger p uses int64 arrays,
-    # or object arrays past _VECTOR_LIMIT: force each path at every p
-    import localzeta.counting as counting
+    # roots_mod scans the residues below polynomials._KERNEL_FROM and splits
+    # gcd(g, x^p - x) from there on: force each at every p, on random
+    # polynomials and on products with repeated roots, against a direct sweep
+    import localzeta.polynomials as polynomials
 
     rng = random.Random(5)
-    for p in (2, 7, 47, 53, 101, 1009):
-        for _ in range(5):
-            coeffs = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(2, 8))]
-            coeffs += [p * rng.randint(1, 9)] if p < 50 else []  # a leading zero mod p
-            expected = [x for x in range(p)
-                        if sum(c * x**i for i, c in enumerate(coeffs)) % p == 0]
-            for sweep, vector in ((10**9, 2**31), (0, 2**31), (0, 1)):
-                monkeypatch.setattr(counting, "_ARRAY_SWEEP", sweep)
-                monkeypatch.setattr(counting, "_VECTOR_LIMIT", vector)
-                assert counting._roots_mod_p(coeffs, p) == expected, (p, coeffs, sweep, vector)
+    for p in SWEEP_PRIMES:
+        big = p > 10**6
+        for i in range(2 if big else 6):
+            if i % 2:
+                coeffs = [rng.randint(1, 9)]
+                for r in [rng.randrange(p) for _ in range(rng.randint(1, 3))] * 2:
+                    coeffs = poly_mul_int(coeffs, [-r, 1])
+            else:
+                coeffs = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(2, 4 if big else 8))]
+            coeffs += [p * rng.randint(1, 9)] if i % 3 == 2 else []  # a leading zero mod p
+            expected = direct_roots(coeffs, p)
+            for start in (0, 10**13):
+                monkeypatch.setattr(polynomials, "_KERNEL_FROM", start)
+                assert list(roots_mod(coeffs, p)) == expected, (p, coeffs, start)
+
+
+def test_root_kernel_raises_rather_than_miscount(monkeypatch):
+    # the kernel checks its roots by evaluation against deg gcd(g, x^p - x):
+    # a gcd with a spurious factor x - 5, or an evaluation that never
+    # vanishes, raises InvariantViolation instead of returning roots
+    import localzeta.polynomials as polynomials
+
+    coeffs, p = [6, -5, 1], 1000003  # (x - 2)(x - 3)
+    assert list(roots_mod(coeffs, p)) == [2, 3]
+    gcd = polynomials._gcd_mod
+    calls = []
+
+    def spurious(a, b, q):
+        h = gcd(a, b, q)
+        if calls:
+            return h
+        calls.append(h)
+        return [c % q for c in poly_mul_int(h, [-5, 1])]
+
+    for name, fake in (("_gcd_mod", spurious), ("_value_mod", lambda ints, x, m: 1)):
+        with monkeypatch.context() as patch:
+            patch.setattr(polynomials, name, fake)
+            with pytest.raises(InvariantViolation, match="roots_mod"):
+                list(roots_mod(coeffs, p))
+    assert calls == [[6, 999998, 1]]
 
 
 def test_count_sequence_methods_agree():
@@ -395,6 +453,19 @@ def test_zeta_reader_gives_a_zeta_function_or_a_malformed_document(case):
     p = read.ctx.p
     for term in read.terms:
         assert min(term.j, term.t_pow, term.den_pow) >= 0 and (term.j == 0 or term.c % p), term
+
+
+@pytest.mark.parametrize("coeff", ["1e10000000", "0.5", "1/0", "+1", " 1"])
+def test_zeta_reader_takes_a_coeff_by_the_decimal_rule(coeff):
+    # a coeff is an integer or integer/positive integer; exponent notation
+    # would build a ten-million-digit integer before any check ran
+    doc = {"p": "3", "shift": 0, "terms": [{"coeff": coeff, "t_pow": 0, "den_pow": 0}]}
+    start = time.perf_counter()
+    with pytest.raises(MalformedDocument, match="term 0 coeff must be an integer or integer/positive integer"):
+        zeta_from_json(doc)
+    assert time.perf_counter() - start < 0.1
+    doc["terms"][0]["coeff"] = "-2/27"
+    assert zeta_from_json(doc).terms == (ZetaTerm(-2, 3, 0, 0),)
 
 
 def test_keystream_needs_no_fraction_and_no_normal_form(monkeypatch):
@@ -720,21 +791,20 @@ def test_lift_on_the_worst_tower_stays_small():
 def scans(monkeypatch) -> list[tuple[int, int, list[int]]]:
     """(m, w, g mod p) for each class x0 + p**m Z the oracle's walk scans for roots.
 
-    The walk calls _roots_mod_p once per class that can still hold deeper
+    The walk calls roots_mod once per class that can still hold deeper
     solutions, with f(x0 + p**m y) = p**w g(y); m and w are read from the
     walk's frame.
     """
     import localzeta.counting as counting
 
     seen = []
-    scan = counting._roots_mod_p
 
     def spy(gbar, p):
         walk = sys._getframe(1).f_locals
         seen.append((walk["m"], walk["w"], list(gbar)))
-        return scan(gbar, p)
+        return roots_mod(gbar, p)
 
-    monkeypatch.setattr(counting, "_roots_mod_p", spy)
+    monkeypatch.setattr(counting, "roots_mod", spy)
     return seen
 
 
@@ -831,3 +901,64 @@ def test_walk_reaches_depth_1000_in_under_a_second():
     elapsed = time.perf_counter() - start
     assert counts == solution_counts(f, ctx, 1000, "tree")
     assert elapsed < 1.0, elapsed
+
+
+def test_class_shift_matches_horner_at_the_digit_bound():
+    # the walk forms g(k + p*y) from the base-2**K digits of one product;
+    # with every coefficient p**e - 1 and k = p - 1 each digit is as large
+    # as the bound behind K allows, so a digit that carried would show
+    from localzeta.counting import _shifted_class
+
+    rng = random.Random(7)
+    for p in (2, 3, 101, 1000003):
+        for d in (1, 2, 7, 40):
+            for e in (1, 2, 30, 1000):
+                mod = p**e
+                for g, k in (([mod - 1] * (d + 1), p - 1),
+                             ([rng.randrange(mod) for _ in range(d)] + [1], rng.randrange(p))):
+                    expected = [c % mod for c in _shifted(g, k, p)]
+                    while len(expected) > 1 and not expected[-1]:
+                        expected.pop()
+                    assert _shifted_class(g, k, p, mod) == expected, (p, d, e, k)
+
+
+def test_oracle_matches_direct_counts_and_the_tree_on_both_sides_of_the_kernel():
+    # small cases against a direct count mod p**j, and route cases 60 levels
+    # deep against the tree's counts, at primes below and above the
+    # threshold where roots_mod switches from the scan to the kernel
+    reached = {"direct": 0, "direct above": 0, "tree": 0, "tree above": 0}
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(oracle_cases(), st.booleans())
+    def direct(case, above):
+        p, coeffs, n, _ = case
+        if above:
+            p, n = 1009, min(n, 1)
+        f = DensePoly(tuple(F(c) for c in coeffs))
+        expected = [1] + [len(direct_roots(coeffs, p**j)) for j in range(1, n + 1)]
+        assert brute_counts_upto(f, PAdicContext(p), n, cap=p**n) == expected
+        reached["direct above" if above else "direct"] += n > 0
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(route_cases(primes=(2, 3, 101, 1000003), max_u=60))
+    def tree(case):
+        f, p, u, _ = case
+        ctx = PAdicContext(p)
+        assert brute_counts_upto(f, ctx, u, cap=p**u) == solution_counts(f, ctx, u, "tree")
+        reached["tree above" if p > 1000 else "tree"] += u > 0
+
+    direct()
+    tree()
+    assert min(reached.values()) >= 10, reached
+
+
+def test_oracle_at_a_prime_above_a_million_runs_in_under_50_ms():
+    # each class at a multiple root takes the kernel's O(d**2 log p) steps,
+    # where a sweep of the 1000003 residues took about half a second
+    f = parse_poly("(x-1)^2*(x-4)*(x-10)^3")
+    ctx = PAdicContext(1000003)
+    start = time.perf_counter()
+    counts = brute_counts_upto(f, ctx, 30, cap=1000003**30)
+    elapsed = time.perf_counter() - start
+    assert counts == solution_counts(f, ctx, 30, "spf")
+    assert elapsed < 0.05, elapsed

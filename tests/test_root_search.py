@@ -226,8 +226,8 @@ def scan_cases(draw):
 
 
 def test_residue_scan_matches_a_direct_sweep():
-    # the root search and the count oracle below p = 50 share roots_mod; a
-    # kernel that replaces it must pass this test unchanged
+    # the root search and the count oracle share roots_mod; its primes lie on
+    # both sides of the q = 1000 where the gcd kernel takes over from the scan
     reached = {"multiple root": 0, "q | lc": 0, "stopped early": 0}
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
