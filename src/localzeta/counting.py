@@ -41,6 +41,7 @@ from operator import add
 from .errors import CapExceeded, LocalZetaError, NegativeShift, NonIntegralCount
 from .padic import PAdicContext
 from .polynomials import DensePoly, FactoredPoly, as_integer_poly, require_integral, roots_mod
+from .polynomials import _trimmed_mod
 from .ratfunc import RationalFunctionT, _trimmed, decimal  # decimal is re-exported
 from .zeta import ZetaFunction, _div_binomial, compute_zeta, poincare
 
@@ -262,7 +263,7 @@ def brute_counts_upto(
             raise CapExceeded(f"{size} exceeds the cap {cap}")
     counts = [1] + [0] * n
     closed = [0] * (n + 1)  # closed[j]: what every N_i, i >= j, gains from simple roots
-    classes = [(0, _trimmed([c % powers[n] for c in coeffs]), 0)]
+    classes = [(0, _trimmed_mod(coeffs, powers[n]), 0)]
     while classes:
         m, g, w = classes.pop()
         content, v = math.gcd(*g), 0
@@ -275,7 +276,7 @@ def brute_counts_upto(
         if w == n:
             continue
         g = [c // powers[v] for c in g]
-        gbar = _trimmed([c % p for c in g])
+        gbar = _trimmed_mod(g, p)
         if len(gbar) == 1:  # a unit mod p: no deeper solutions
             continue
         for k in roots_mod(gbar, p):

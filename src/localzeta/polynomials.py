@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -154,80 +155,72 @@ def as_integer_poly(f: DensePoly | FactoredPoly) -> DensePoly:
 # parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_CHARS = {"x", "+", "-", "*", "^", "/", "(", ")"}
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdecimal():  # exactly the digits int() accepts
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-        elif ch in _TOKEN_CHARS:
-            tokens.append((ch, ch, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
+# A token is its text: a maximal run of decimal digits (exactly the digits
+# int() reads) or one of x+-*^/(), and the end of input is "".
+_TOKEN = re.compile(r"\d+|\S")
+_STRAY = re.compile(r"[^\s\dx+\-*^/()]")
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        stray = _STRAY.search(text)
+        if stray:
+            raise ParseError(f"unexpected character {stray.group()!r}", stray.start())
+        self.text = text
+        self.tokens = _TOKEN.findall(text) + [""]
         self.pos = 0
 
-    def peek(self) -> tuple[str, str, int]:
+    def where(self, i: int | None = None) -> int:
+        """The position of token i (the next one by default), worked out only to raise."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        return starts[self.pos if i is None else i]
+
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def take(self, kind: str, expected: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise ParseError(f"expected {expected}", tok[2])
+    def take(self, tok: str, expected: str) -> None:
+        if self.tokens[self.pos] != tok:
+            raise ParseError(f"expected {expected}", self.where())
         self.pos += 1
-        return tok
 
-    def integer(self, expected: str) -> tuple[int, int]:
-        """The next integer literal and its position."""
-        _, text, position = self.take("int", expected)
+    def integer(self, expected: str) -> int:
+        """The next integer literal."""
+        tok = self.tokens[self.pos]
+        if not tok.isdecimal():
+            raise ParseError(f"expected {expected}", self.where())
         try:
-            return int(text), position
+            value = int(tok)
         except ValueError:  # past the interpreter's int-to-str digit limit
             raise ParseError(
-                f"integer literal of {len(text)} digits is past the limit of "
+                f"integer literal of {len(tok)} digits is past the limit of "
                 f"{sys.get_int_max_str_digits()} digits",
-                position,
+                self.where(),
             ) from None
+        self.pos += 1
+        return value
 
     def sign(self) -> int:
         """Consume an optional '+' or '-'; -1 for '-', else 1."""
-        kind = self.peek()[0]
-        if kind in ("+", "-"):
+        tok = self.tokens[self.pos]
+        if tok in ("+", "-"):
             self.pos += 1
-        return -1 if kind == "-" else 1
+        return -1 if tok == "-" else 1
 
     def pair(self) -> tuple[int, int]:
         """The next number as a reduced pair (a, b) with b > 0, meaning a/b."""
-        num, _ = self.integer("a number")
-        if self.peek()[0] == "/":
+        num = self.integer("a number")
+        if self.peek() == "/":
             self.pos += 1
-            den, position = self.integer("a denominator")
+            den = self.integer("a denominator")
             if den == 0:
-                raise ParseError("zero denominator", position)
+                raise ParseError("zero denominator", self.where(self.pos - 1))
             g = math.gcd(num, den)
             return num // g, den // g
         return num, 1
 
     def exponent(self) -> int:
         self.take("^", "'^'")
-        return self.integer("an exponent")[0]
+        return self.integer("an exponent")
 
 
 def _parse_expression(p: _Parser) -> DensePoly:
@@ -235,30 +228,30 @@ def _parse_expression(p: _Parser) -> DensePoly:
     sign = p.sign()
     while True:
         tok = p.peek()
-        if tok[0] == "int":
+        if tok.isdecimal():
             c, d = p.pair()
-            if p.peek()[0] == "*":
+            if p.peek() == "*":
                 p.pos += 1
                 p.take("x", "'x'")
-                k = p.exponent() if p.peek()[0] == "^" else 1
+                k = p.exponent() if p.peek() == "^" else 1
             else:
                 k = 0
-        elif tok[0] == "x":
+        elif tok == "x":
             p.pos += 1
             c, d = 1, 1
-            k = p.exponent() if p.peek()[0] == "^" else 1
+            k = p.exponent() if p.peek() == "^" else 1
         else:
-            raise ParseError("expected a term", tok[2])
+            raise ParseError("expected a term", p.where())
         a, b = coeffs.get(k, (0, d))
         if b != d:  # over the lcm of the two denominators
             g = math.gcd(b, d)
             a, c, b = a * (d // g), c * (b // g), b // g * d
         coeffs[k] = (a + sign * c, b)
         tok = p.peek()
-        if tok[0] == "end":
+        if not tok:
             break
-        if tok[0] not in ("+", "-"):
-            raise ParseError("expected '+', '-' or end of input", tok[2])
+        if tok not in ("+", "-"):
+            raise ParseError("expected '+', '-' or end of input", p.where())
         sign = p.sign()
     degree = max(coeffs) if coeffs else 0
     return DensePoly(tuple(Fraction(*coeffs.get(k, (0, 1))) for k in range(degree + 1)))
@@ -267,7 +260,7 @@ def _parse_expression(p: _Parser) -> DensePoly:
 def _parse_factored(p: _Parser) -> FactoredPoly:
     sign = p.sign()
     unit = (sign, 1)
-    if p.peek()[0] == "int":
+    if p.peek().isdecimal():
         a, b = p.pair()
         unit = (sign * a, b)
         p.take("*", "'*' after the unit")
@@ -275,24 +268,22 @@ def _parse_factored(p: _Parser) -> FactoredPoly:
     while True:
         p.take("(", "'('")
         p.take("x", "'x'")
-        tok = p.peek()
-        if tok[0] not in ("+", "-"):
-            raise ParseError("expected '-' or '+' inside factor", tok[2])
+        if p.peek() not in ("+", "-"):
+            raise ParseError("expected '-' or '+' inside factor", p.where())
         outer = -p.sign()
         inner = p.sign()
         a, b = p.pair()
         root = (outer * inner * a, b)
         p.take(")", "')'")
-        if p.peek()[0] == "^":
-            tok = p.peek()
+        if p.peek() == "^":
+            at = p.pos
             mult = p.exponent()
             if mult < 1:
-                raise ParseError("factor exponent must be >= 1", tok[2])
+                raise ParseError("factor exponent must be >= 1", p.where(at))
         else:
             mult = 1
         roots[root] = roots.get(root, 0) + mult
-        tok = p.peek()
-        if tok[0] == "end":
+        if not p.peek():
             break
         p.take("*", "'*' between factors")
     if unit[0] == 0:
@@ -312,9 +303,8 @@ def parse_poly(text: str) -> DensePoly | FactoredPoly:
     value, so ``(x - 1/2)*(x - 2/4)`` is ``(x - 1/2)^2``.
     """
     parser = _Parser(text)
-    factored = any(tok[0] == "(" for tok in parser.tokens)
-    result = _parse_factored(parser) if factored else _parse_expression(parser)
-    parser.take("end", "end of input")
+    result = _parse_factored(parser) if "(" in parser.tokens else _parse_expression(parser)
+    parser.take("", "end of input")
     return result
 
 

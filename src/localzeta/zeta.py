@@ -54,7 +54,7 @@ from .polynomials import (
     compute_lf,
     reduce_to_integral_roots,
 )
-from .ratfunc import RationalFunctionT, decimal, rf_format
+from .ratfunc import RationalFunctionT, _trimmed, decimal, rf_format
 from .tree import WeightedTree, build_tree, json_int
 
 Roots = tuple[tuple[Fraction, int], ...]
@@ -286,9 +286,8 @@ def _canonical(
     min(k, ord_t num) times.  The denominator's lowest coefficient,
     scale * p**m, is positive, so only the joint content is left to divide.
     """
-    while num and num[-1] == 0:
-        num.pop()
-    if not num:
+    num = _trimmed(num or [0])
+    if num == [0]:
         return RationalFunctionT((0,), (1,))
     kept = []
     for b in bs:

@@ -27,6 +27,8 @@ from localzeta import (
     reduce_to_integral_roots,
     vp,
 )
+from localzeta.polynomials import _Parser
+from tokenize_reference import tokenize
 
 F = Fraction
 
@@ -122,6 +124,21 @@ def test_parse_rejects_superscript_digits(text, position):
 def test_parse_reads_any_decimal_digit():
     # int() reads every Unicode decimal digit, e.g. ARABIC-INDIC DIGIT THREE
     assert parse_poly("(x - \u0663)").roots == ((F(3), 1),)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(x - 1)\u3000y", "unexpected character 'y' (at position 8)"),
+        ("(x - 1)\u00a0^\u00a00", "factor exponent must be >= 1 (at position 8)"),
+        ("(x - 1/\u30000)", "zero denominator (at position 8)"),
+    ],
+)
+def test_parse_error_after_a_non_ascii_blank(text, message):
+    # IDEOGRAPHIC SPACE and NO-BREAK SPACE are blanks, one position each
+    with pytest.raises(ParseError) as err:
+        parse_poly(text)
+    assert str(err.value) == message
 
 
 space = st.sampled_from(["", " ", "  ", "\t"])
@@ -235,9 +252,9 @@ def test_parse_expression_matches_a_fraction_reference(case):
     assert f.coefficients == coeffs
 
 
-# the token characters, blanks, a non-ASCII decimal digit that int() reads,
-# and two characters the tokenizer must reject
-PARSER_ALPHABET = list("x0123456789+-*^/() \t") + ["\u0663", "\u00b2", "y"]
+# the token characters, blanks (two of them non-ASCII), a non-ASCII decimal
+# digit that int() reads, and two characters the tokenizer must reject
+PARSER_ALPHABET = list("x0123456789+-*^/() \t") + ["\u0663", "\u00b2", "y", "\u3000", "\u00a0"]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -247,6 +264,7 @@ PARSER_ALPHABET = list("x0123456789+-*^/() \t") + ["\u0663", "\u00b2", "y"]
 @example("-0*(x - 1)")
 @example(" - 2 * ( x - - 1/2 ) ^ 2 * ( x + \u0663 ) ")
 @example("+ x ^ 2 - - 1")
+@example("\u3000(x\u00a0-\u00a0\u0663)^2\u3000")
 def test_parse_gives_a_polynomial_or_a_domain_error(text):
     try:
         f = parse_poly(text)
@@ -256,6 +274,32 @@ def test_parse_gives_a_polynomial_or_a_domain_error(text):
         assert isinstance(err, ZeroPolynomial)
     else:
         assert isinstance(f, (DensePoly, FactoredPoly))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text(st.sampled_from(PARSER_ALPHABET), max_size=20))
+@example("x\u3000y")
+@example("(x - 1)\u00a0^\u00a00")
+@example(" 12\u0663 * x ^\t3 ")
+def test_tokens_match_the_character_loop(text):
+    # the reference keeps each token's position; the parser finds one only to raise
+    try:
+        expected = tokenize(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as raised:
+            _Parser(text)
+        assert (str(raised.value), raised.value.position) == (str(err), err.position)
+        return
+    parser = _Parser(text)
+    assert parser.tokens == [tok for _, tok, _ in expected]
+    starts = [position for _, _, position in expected]
+    assert [parser.where(i) for i in range(len(starts))] == starts
+    try:
+        parse_poly(text)
+    except ParseError as err:
+        assert err.position in starts
+    except ZeroPolynomial:
+        pass
 
 
 # ---------------------------------------------------------------------------
