@@ -22,7 +22,8 @@ from .counting import (
     solution_counts,
     tree_counts,
 )
-from .errors import LocalZetaError, NonIntegralCount
+from .errors import InvariantViolation, LocalZetaError, NonIntegralCount, PoleAtPoint
+from .errors import RecursionDepthExceeded
 from .lfsr import Lfsr, keystream, lfsr_run, period_of
 from .padic import PAdicContext
 from .polynomials import (
@@ -171,70 +172,77 @@ def _cmd_lfsr(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
+# errors only a fault in the package raises: verify reports them as failed checks
+_FAULTS = (InvariantViolation, NonIntegralCount, PoleAtPoint, RecursionDepthExceeded)
+
+
 def _cmd_verify(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
-    """All cross-checks on one input, one PASS/FAIL line per check."""
+    """All cross-checks on one input, one PASS/FAIL line per check.
+
+    Each value is computed by the first check that needs it and kept.  A
+    ``_FAULTS`` error fails the check that meets it, with the error on the
+    line below, and so every check that needs the value it came from; the
+    other checks still run.  A domain error ends the command.
+    """
     f = parse_poly(args.poly)
-    checks: list[tuple[str, bool, str]] = []
-
     factored = _factored(f)
-    z_tree = compute_zeta(factored, ctx, method="tree")
-    z_spf = compute_zeta(factored, ctx, method="spf")
-    rf_tree = normalize(z_tree)
-    rf_spf = normalize(z_spf)
-    checks.append(("tree and residue-recursion methods agree",
-                   rf_equal(rf_tree, rf_spf), rf_format(rf_tree)))
-    z1 = rf_eval(rf_tree, 1)
-    checks.append(("Z(1) = 1", z1 == 1, f"Z(1) = {z1}"))
-    h = poincare(z_tree)
-    # (1 - t)H + tZ = 1, cross-multiplied by both denominators
-    hn, hd = h.numerator, h.denominator
-    zn, zd = rf_tree.numerator, rf_tree.denominator
-    lhs = poly_add(poly_mul([1, -1], poly_mul(hn, zd)),
-                   poly_mul([0, 1], poly_mul(zn, hd)))
-    checks.append(("(1 - t)H + tZ = 1", lhs == poly_mul(hd, zd), rf_format(h)))
+    memo: dict = {}
 
-    if z_tree.shift >= 0:
-        # N_0..N_(max_m+1) carry the same information as c_0..c_max_m;
-        # the H(pu) side is the long division of num'/den'
-        expanded = tree_counts(z_tree, args.max_m + 1)
-        try:
-            divided = poincare_counts(h, ctx.p, args.max_m + 1)
-        except NonIntegralCount:
-            divided = None
-        checks.append(
-            ("term expansion equals long-division series", expanded == divided, "")
-        )
-    if f.is_integral() and z_tree.shift >= 0:
-        counts = expanded[: args.max_m + 1]
-        ok = True
-        try:
-            check_counts(counts, ctx.p)
-        except NonIntegralCount:
-            ok = False
-        checks.append(("counts are integral and within lifting bounds", ok,
-                       " ".join(map(decimal, counts))))
-        n_brute = 0
-        while n_brute < args.max_m and ctx.p ** (n_brute + 1) <= args.brute_cap:
-            n_brute += 1
-        brute = brute_counts_upto(f, ctx, n_brute, cap=args.brute_cap)
-        checks.append(
-            (f"brute-force counts match up to m = {n_brute}",
-             brute == counts[: n_brute + 1], "")
-        )
+    def once(make):  # make() on the first call and its value after; a raise is not kept
+        return lambda: memo[make] if make in memo else memo.setdefault(make, make())
 
-    lines = []
-    failed = 0
-    for name, ok, detail in checks:
-        tag = "PASS" if ok else "FAIL"
-        failed += 0 if ok else 1
-        suffix = f"  [{detail}]" if detail else ""
-        lines.append(f"{tag}  {name}{suffix}")
-    lines.append(
-        f"{len(checks) - failed}/{len(checks)} checks passed"
-        if failed
-        else f"all {len(checks)} checks passed"
-    )
-    return (2 if failed else 0), "\n".join(lines)
+    z_tree = once(lambda: compute_zeta(factored, ctx, method="tree"))
+    rf_tree = once(lambda: normalize(z_tree()))
+    h = once(lambda: poincare(z_tree()))
+    # N_0..N_(max_m+1) carry the same information as c_0..c_max_m
+    expanded = once(lambda: tree_counts(z_tree(), args.max_m + 1))
+    lines: list[str] = []
+
+    def check(name, run):
+        try:
+            ok, detail = run()
+        except _FAULTS as exc:
+            lines.append(f"FAIL  {name}\n      error: {type(exc).__name__}: {exc}")
+            return
+        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{detail}]" if detail else ""))
+
+    def identity():
+        # (1 - t)H + tZ = 1, cross-multiplied by both denominators
+        hn, hd = h().numerator, h().denominator
+        zn, zd = rf_tree().numerator, rf_tree().denominator
+        lhs = poly_add(poly_mul([1, -1], poly_mul(hn, zd)), poly_mul([0, 1], poly_mul(zn, hd)))
+        return lhs == poly_mul(hd, zd), rf_format(h())
+
+    def bounds():
+        counts = expanded()[: args.max_m + 1]
+        check_counts(counts, ctx.p)  # NonIntegralCount on a violation
+        return True, " ".join(map(decimal, counts))
+
+    check("tree and residue-recursion methods agree", lambda: (
+        rf_equal(rf_tree(), normalize(compute_zeta(factored, ctx, method="spf"))),
+        rf_format(rf_tree())))
+    check("Z(1) = 1", lambda: ((z1 := rf_eval(rf_tree(), 1)) == 1, f"Z(1) = {z1}"))
+    check("(1 - t)H + tZ = 1", identity)
+    try:  # an integral f has shift >= 0, so only a rational one skips the counts
+        series = z_tree().shift >= 0
+    except _FAULTS:
+        series = True  # the checks below need Z too and fail on its fault
+    if series:
+        # the H(pu) side divides num' by the binomials of den'
+        check("term expansion equals long-division series", lambda: (
+            expanded() == poincare_counts(h(), ctx.p, args.max_m + 1), ""))
+        if f.is_integral():
+            check("counts are integral and within lifting bounds", bounds)
+            n_brute = 0
+            while n_brute < args.max_m and ctx.p ** (n_brute + 1) <= args.brute_cap:
+                n_brute += 1
+            check(f"brute-force counts match up to m = {n_brute}", lambda: (
+                brute_counts_upto(f, ctx, n_brute, cap=args.brute_cap) == expanded()[: n_brute + 1],
+                ""))
+
+    failed = sum(line.startswith("FAIL") for line in lines)
+    total = f"{len(lines) - failed}/{len(lines)}" if failed else f"all {len(lines)}"
+    return (2 if failed else 0), "\n".join([*lines, f"{total} checks passed"])
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:

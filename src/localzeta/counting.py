@@ -122,24 +122,18 @@ def poincare_counts(h: RationalFunctionT, p: int, n: int) -> list[int]:
     ``poincare`` denominator is a constant times prod_(b in B) (p - t**b),
     the b distinct (see ``zeta``), so its lowest power of t past the
     constant is t**min(B): the factors are found by trial division by
-    p - t**b for that lowest b, repeated on the quotient until a division
-    fails or a constant is left.  What is left of den, rest, is divided
-    out by long division: N_m = (x_m - sum_(j >= 1) rest'_j*N_(m-j)) /
-    rest'_0, with rest'_j = p**(j+k)*rest_j for the k factors peeled.  For
-    a ``poincare`` denominator rest is a constant, one divmod per m, so
-    N_0..N_n cost O(n*|B|) big-integer steps; any other denominator still
-    divides exactly.  A division that is not exact raises NonIntegralCount.
+    p - t**b for that lowest b, repeated on the quotient until a constant
+    is left, and that constant times p**k, for the k factors peeled, is
+    divided out once per m.  N_0..N_n cost O(n*|B|) big-integer steps.  A
+    denominator that is no constant times such binomials, or a division
+    that is not exact, raises NonIntegralCount.
     """
-    den = list(h.denominator)
-    if den[0] == 0:
-        raise NonIntegralCount("H(pu) has a denominator with zero constant term")
-    peeled = []
-    while True:  # try b = den's lowest power of t past the constant, again after a hit
-        b = next((i for i, c in enumerate(den) if i and c), 0)
-        quot = _div_binomial(den, p, b) if b else None
-        if quot is None:
-            break
-        den = quot
+    den, peeled = list(h.denominator), []
+    while any(den[1:]):  # b = den's lowest power of t past the constant
+        b = next(i for i, c in enumerate(den) if i and c)
+        den = _div_binomial(den, p, b)
+        if den is None:
+            raise NonIntegralCount("H(pu): the denominator is no constant times binomials p - t^b")
         peeled.append(b)
     x = [c * p**i for i, c in enumerate(h.numerator[: n + 1])]
     x += [0] * (n + 1 - len(x))
@@ -147,17 +141,13 @@ def poincare_counts(h: RationalFunctionT, p: int, n: int) -> list[int]:
         step = p ** (b - 1)
         for m, behind in zip(range(b, n + 1), x):  # reads x_(m-b) after its update
             x[m] += step * behind
-    scale = p ** len(peeled)
-    lead, *rest = [c * p**j * scale for j, c in enumerate(den[: n + 1])]
+    lead = den[0] * p ** len(peeled)
     counts: list[int] = []
     for m, acc in enumerate(x):
         value, remainder = divmod(acc, lead)
         if remainder:
             raise NonIntegralCount(f"N_{m} is not an integer: den'_0 does not divide")
         counts.append(value)
-        if rest:  # subtract rest'_j*N_m from the x_(m+j) ahead
-            for j, d in zip(range(m + 1, n + 1), rest):
-                x[j] -= d * value
     return counts
 
 
@@ -330,11 +320,13 @@ def solution_counts(
 ) -> list[int]:
     """N_0..N_u for f in Z[x] by the chosen method, in integers and checked.
 
-    `tree` expands the tree terms and `spf` long-divides H(pu) from the
-    residue recursion (see ``tree_counts`` and ``poincare_counts``);
-    `brute` counts the solutions by walking the residue classes that hold
-    them, so it
-    never sees the zeta function at all.  Every route's counts pass
+    `tree` expands the tree terms and `spf` divides H(pu) from the residue
+    recursion by its binomials (see ``tree_counts`` and
+    ``poincare_counts``); `brute` counts the solutions by walking the
+    residue classes that hold them, so it never sees the zeta function at
+    all.  Integrality is the only precondition: for f in Z[x] the shift is
+    v_p(unit/prod b**e) >= 0 (Gauss's lemma, b the root denominators), so
+    no route meets a negative one.  Every route's counts pass
     ``check_counts``.  No coefficient c_m is formed.
     """
     if u < 0:
@@ -345,10 +337,7 @@ def solution_counts(
     elif method == "tree":
         counts = tree_counts(compute_zeta(f, ctx, method="tree"), u)
     elif method == "spf":
-        z = compute_zeta(f, ctx, method="spf")
-        if z.shift < 0:
-            raise NegativeShift(f"shift {z.shift} < 0: not a power series in t")
-        counts = poincare_counts(poincare(z), ctx.p, u)
+        counts = poincare_counts(poincare(compute_zeta(f, ctx, method="spf")), ctx.p, u)
     else:
         raise ValueError(f"unknown method {method!r}")
     return check_counts(counts, ctx.p)

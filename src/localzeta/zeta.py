@@ -44,7 +44,7 @@ from functools import cached_property
 from itertools import accumulate, starmap, zip_longest
 from typing import NamedTuple
 
-from .errors import InvariantViolation, MalformedDocument, RecursionDepthExceeded
+from .errors import CapExceeded, InvariantViolation, MalformedDocument, RecursionDepthExceeded
 from .padic import PAdicContext, residue, vp
 from .polynomials import (
     DensePoly,
@@ -58,6 +58,11 @@ from .ratfunc import RationalFunctionT, _trimmed, decimal, rf_format
 from .tree import WeightedTree, build_tree, json_int
 
 Roots = tuple[tuple[Fraction, int], ...]
+
+# the largest dense degree, max(t_pow) + sum(den_pows) + |shift|, of a normal
+# form: the spf terms of (x - 1)**(10**5) reach it, and their normal form and
+# Poincare series take about 0.1 s and 25 MB
+_MAX_DENSE_DEGREE = 10**5
 
 
 class ZetaTerm(NamedTuple):
@@ -236,6 +241,14 @@ def _div_binomial(a: list[int], p: int, b: int) -> list[int] | None:
     return None if any(r[:b]) else q
 
 
+def _too_dense(z: ZetaFunction, bs: list[int]) -> CapExceeded:
+    """The error for a normal form past _MAX_DENSE_DEGREE, naming its dense degree."""
+    degree = max((t.t_pow for t in z.terms), default=0) + sum(bs) + abs(z.shift)
+    return CapExceeded(
+        f"the normal form has dense degree {decimal(degree)}, past the bound {_MAX_DENSE_DEGREE}"
+    )
+
+
 def _combined(z: ZetaFunction) -> tuple[list[int], int, int, list[int]]:
     """Z = num / (scale * t**k * prod_b (p - t**b)), all in integers.
 
@@ -246,15 +259,21 @@ def _combined(z: ZetaFunction) -> tuple[list[int], int, int, list[int]]:
     num = num * (p - t**b_i) + bucket_i * prod_{l<i} (p - t**b_l).  So num
     takes each binomial once and bucket i takes i - 1 of them, k(k+1)/2
     binomial products in all where multiplying each bucket by every other
-    factor takes k**2.
+    factor takes k**2.  A dense degree max(t_pow) + sum(b_i) + |shift|
+    past _MAX_DENSE_DEGREE raises CapExceeded before a list is built.
     """
     p = z.ctx.p
     bs = sorted({t.den_pow for t in z.terms if t.den_pow})
+    room = _MAX_DENSE_DEGREE - sum(bs) - abs(z.shift)  # what the largest t_pow may take
+    if room < 0:
+        raise _too_dense(z, bs)
     scale, cs = z.scaled_coeffs
     buckets: dict[int, list[int]] = {b: [] for b in [0, *bs]}
     for term, c in zip(z.terms, cs):
         bucket = buckets[term.den_pow]
         if len(bucket) <= term.t_pow:
+            if term.t_pow > room:
+                raise _too_dense(z, bs)
             bucket.extend([0] * (term.t_pow + 1 - len(bucket)))
         bucket[term.t_pow] += c * p if term.den_pow else c
     num = buckets[0]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import localzeta.cli
+import localzeta.zeta
 from localzeta import (
     FactoredPoly,
+    InvariantViolation,
     PAdicContext,
     RationalFunctionT,
     coeff_stream,
@@ -242,6 +245,79 @@ def test_verify_reports_a_poincare_series_without_integer_counts(capsys, monkeyp
     assert "FAIL  term expansion equals long-division series" in out.splitlines()
 
 
+FAULT_LINE = "      error: InvariantViolation: poincare: total measure is not 1; upstream bug"
+EVALUATOR_FAULT = "      error: InvariantViolation: a faulty tree evaluator"
+
+
+def drop_first_term(real):
+    """A tree evaluator that loses one term, so Z(1) = 1 no longer holds."""
+    def faulty(tree, shift=0):
+        z = real(tree, shift)
+        return replace(z, terms=z.terms[1:])
+    return faulty
+
+
+def raise_fault(real):
+    """A tree evaluator that raises an upstream-bug error."""
+    def faulty(tree, shift=0):
+        raise InvariantViolation("a faulty tree evaluator")
+    return faulty
+
+
+def test_verify_evaluates_each_value_once(capsys, monkeypatch):
+    # the checks share Z, H and the counts: each is formed by the first check
+    # that needs it, not again by the later ones
+    calls = []
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name if name != "compute_zeta" else kwargs["method"])
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("compute_zeta", "normalize", "poincare", "tree_counts"):
+        monkeypatch.setattr(localzeta.cli, name, spy(name, getattr(localzeta.cli, name)))
+    status, _, _ = run_cli(
+        capsys, "verify", "--poly", "(x-1)^2*(x-4)", "--prime", "3", "--max-m", "4"
+    )
+    assert status == 0
+    assert sorted(calls) == ["normalize", "normalize", "poincare", "spf", "tree", "tree_counts"]
+
+
+@pytest.mark.parametrize("fault, lines", [
+    # poincare refuses the lossy Z: the two checks that need H fail with its
+    # error below them, and the others still compare the lossy Z's values
+    (drop_first_term, [
+        "FAIL  tree and residue-recursion methods agree  "
+        "[(3*t^3 + t^4 + t^5 - t^6)/(27 - 9*t - 9*t^2 + 3*t^3)]",
+        "FAIL  Z(1) = 1  [Z(1) = 1/3]",
+        "FAIL  (1 - t)H + tZ = 1", FAULT_LINE,
+        "FAIL  term expansion equals long-division series", FAULT_LINE,
+        "PASS  counts are integral and within lifting bounds  [1 3 9 27 72]",
+        "FAIL  brute-force counts match up to m = 4",
+        "1/6 checks passed",
+    ]),
+    # every check needs the tree's Z, so every check fails on its error
+    (raise_fault, [
+        "FAIL  tree and residue-recursion methods agree", EVALUATOR_FAULT,
+        "FAIL  Z(1) = 1", EVALUATOR_FAULT,
+        "FAIL  (1 - t)H + tZ = 1", EVALUATOR_FAULT,
+        "FAIL  term expansion equals long-division series", EVALUATOR_FAULT,
+        "FAIL  counts are integral and within lifting bounds", EVALUATOR_FAULT,
+        "FAIL  brute-force counts match up to m = 4", EVALUATOR_FAULT,
+        "0/6 checks passed",
+    ]),
+])
+def test_verify_reports_an_evaluator_fault_as_failed_checks(capsys, monkeypatch, fault, lines):
+    monkeypatch.setattr(localzeta.zeta, "generating_function",
+                        fault(localzeta.zeta.generating_function))
+    status, out, err = run_cli(
+        capsys, "verify", "--poly", "(x-1)^2*(x-4)", "--prime", "3", "--max-m", "4"
+    )
+    assert (status, err) == (2, "")
+    assert out.splitlines() == lines
+
+
 def test_verify_handles_non_integer_polynomials(capsys):
     status, out, _ = run_cli(
         capsys, "verify", "--poly", "(x - 1/2)", "--prime", "3", "--max-m", "3"
@@ -255,6 +331,35 @@ def test_verify_handles_non_integer_polynomials(capsys):
     )
     assert status == 0
     assert "FAIL" not in out and "Z(1) = 1" in out
+
+
+@pytest.mark.parametrize("command, line", [
+    ("zeta", "Z = 1, t = 3^(-s)"),
+    ("poincare", "H = 1, t = 3^(-s)"),
+])
+def test_a_constant_function_prints_without_a_denominator(capsys, command, line):
+    # |3x - 1|_3 = 1 on Z_3, so Z = H = 1
+    status, out, _ = run_cli(capsys, command, "--poly", "3*(x - 1/3)", "--prime", "3")
+    assert status == 0 and out.splitlines()[-1] == line
+
+
+@pytest.mark.parametrize("command", ["zeta", "poincare", "verify"])
+@pytest.mark.parametrize("poly, degree", [
+    # the tree terms of (x - 1)^N reach t^(2N)/(1 - t^N/3), and the root
+    # 1/3 gives the shift -N; 10^30 raised OverflowError from a list of that
+    # length, and 10^11 MemoryError
+    (f"(x-1)^{10**30}", 3 * 10**30),
+    (f"(x - 1/3)^{10**30}", 10**30),
+    (f"(x-1)^{10**11}", 3 * 10**11),
+    (f"(x - 1/3)^{10**11}", 10**11),
+])
+def test_a_normal_form_past_the_dense_degree_bound_exits_one(capsys, command, poly, degree):
+    argv = [command, "--poly", poly, "--prime", "3"]
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, *argv, *(["--max-m", "4"] if command == "verify" else []))
+    assert time.perf_counter() - start < 1
+    assert (status, out) == (1, "")
+    assert err == f"error: CapExceeded: the normal form has dense degree {degree}, past the bound 100000\n"
 
 
 def test_domain_errors_exit_one(capsys):
@@ -464,6 +569,13 @@ def test_brute_cap_message_past_the_digit_limit(capsys):
     )
     assert status == 1
     assert err == "error: CapExceeded: p^3000 exceeds the cap 10000000\n"
+    # 3^10000 is small enough to try, but its 4772 digits are past the limit
+    status, _, err = run_cli(
+        capsys, "count", "--poly", "x", "--prime", "3", "--max-m", "10000",
+        "--method", "brute",
+    )
+    assert status == 1
+    assert err == "error: CapExceeded: p^10000 exceeds the cap 10000000\n"
 
 
 def test_brute_cap_check_does_not_form_a_huge_power(capsys):

@@ -38,6 +38,7 @@ from localzeta import (
     rf_eval,
     rf_series,
     solution_counts,
+    vp,
     zeta_from_json,
     zeta_to_json,
 )
@@ -582,19 +583,68 @@ def test_poincare_counts_divide_a_repeated_binomial(monkeypatch):
 
 
 def test_poincare_counts_divide_a_leftover_that_is_no_binomial(monkeypatch):
-    # den = (3 - t)(1 + t + t^2): 3 - t comes off, 1 + t + t^2 is divided out densely
+    # den = (3 - t)(1 + t + t^2): 3 - t comes off, and what is left is no
+    # constant, which a poincare denominator never leaves
+    # (test_deep_routes_match_the_dense_division), so the division stops;
+    # only the dense reference divides such a leftover
     den = (3, 2, 2, -1)
     h = RationalFunctionT((3, 1), den)
     assert peeled_denominator(h, 3) == [1, 1, 1]
-    hits = peeled_binomials(monkeypatch)
     expected = [3**m * c for m, c in enumerate(rf_series(h, 41))]
     assert all(c.denominator == 1 for c in expected)
-    assert poincare_counts(h, 3, 40) == dense_poincare_counts(h, 3, 40) == expected
+    assert dense_poincare_counts(h, 3, 40) == expected
+    hits = peeled_binomials(monkeypatch)
+    with pytest.raises(NonIntegralCount, match="no constant times binomials p - t\\^b"):
+        poincare_counts(h, 3, 40)
     assert hits == [1]
-    # numerator 1: each H(3u) keeps a factor 1/3, so N_0 = 1/3, with a leftover or without
-    for bad in (RationalFunctionT((1,), den), RationalFunctionT((1,), (3, -1))):
-        with pytest.raises(NonIntegralCount, match="N_0 is not an integer"):
-            poincare_counts(bad, 3, 5)
+    # numerator 1: H(3u) = 1/(3 (1 - u)) keeps a factor 1/3, so N_0 = 1/3
+    with pytest.raises(NonIntegralCount, match="N_0 is not an integer"):
+        poincare_counts(RationalFunctionT((1,), (3, -1)), 3, 5)
+
+
+@st.composite
+def shifted_cases(draw):
+    """(f, p, kind): a route case times a root a/p**k and a unit p**j.
+
+    kind names what the draw holds: a root with p in its denominator, a
+    unit that carries a power of p beyond what that root needs, a tower,
+    or none of these.  f is integral exactly when j >= k*e, e the new
+    root's multiplicity.
+    """
+    f, p, _, kind = draw(route_cases(primes=(2, 3, 5)))
+    roots = dict(f.roots)
+    k, e = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    if k:  # a is prime to p, so a/p**k is a new root
+        roots[F(draw(st.integers(-60, 60).filter(lambda a: a % p)), p**k)] = e
+    j = draw(st.integers(0, k * e + 2))
+    if k and j >= k * e:
+        kind = "p in a denominator"
+    elif j > k * e:
+        kind = "unit with a power of p"
+    return FactoredPoly(f.unit * p**j, tuple(sorted(roots.items()))), p, kind
+
+
+def test_every_evaluator_shift_is_the_content_valuation():
+    # f = (unit/prod b^e) prod (b x - a)^e, and |b x - a|_p = 1 on Z_p when
+    # p | b, so Z has the shift v_p(unit/prod b^e); for an integral f it is
+    # an integer's valuation, >= 0, and both count routes take f as it is
+    reached = {"p in a denominator": 0, "unit with a power of p": 0, "tower": 0, "other": 0}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(shifted_cases())
+    def check(case):
+        f, p, kind = case
+        ctx = PAdicContext(p)
+        content = f.unit / math.prod(r.denominator**e for r, e in f.roots)
+        for method in ("tree", "spf"):
+            assert compute_zeta(f, ctx, method=method).shift == vp(content, ctx)
+        if f.is_integral():
+            assert content.denominator == 1 and vp(content, ctx) >= 0
+            assert solution_counts(f, ctx, 8, "spf") == solution_counts(f, ctx, 8, "tree")
+            reached[kind if kind in reached else "other"] += 1
+
+    check()
+    assert all(reached.values()), reached
 
 
 # ---------------------------------------------------------------------------

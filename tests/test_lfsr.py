@@ -225,6 +225,15 @@ def test_from_rational_degree_guard():
         lfsr_from_rational(((1, 1), (1, 1)), 2)
     with pytest.raises(DegreeViolation):
         lfsr_from_rational(((1,), (0, 1)), 2)
+    # 1 + 3t is the constant 1 mod 3: no register of length 0
+    with pytest.raises(DegreeViolation, match="denominator must have degree >= 1 mod p"):
+        lfsr_from_rational(((1,), (1, 3)), 3)
+
+
+def test_register_equality_and_repr():
+    register = Lfsr(2, (1, 0, 0, 1), (1, 0, 0, 0))
+    assert register == register.copy() and register != (1, 0, 0, 1)
+    assert repr(register) == "Lfsr(p=2, taps=(1, 0, 0, 1), state=(1, 0, 0, 0))"
 
 
 def test_keystream_examples():

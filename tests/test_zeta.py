@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -39,6 +40,7 @@ from localzeta import (
     rf_from_poly,
     rf_mul,
     rf_series,
+    solution_counts,
     spf_eval,
     vp,
     zeta_from_json,
@@ -47,6 +49,7 @@ from localzeta import (
 )
 from localzeta.cli import main
 from localzeta.errors import (
+    CapExceeded,
     InvariantViolation,
     MalformedDocument,
     PoleAtPoint,
@@ -227,6 +230,61 @@ def test_methods_agree_at_larger_prime():
         normalize(compute_zeta(f, ctx, method="tree")),
         normalize(compute_zeta(f, ctx, method="spf")),
     )
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FactoredPoly(0, ((1, 1),)), ValueError, "unit must be nonzero"),
+    (lambda: FactoredPoly(1, ((1, 0),)), ValueError, "multiplicities must be >= 1"),
+    (lambda: build_tree(FactoredPoly(1, ((1, 1),)), PAdicContext(3), 0),
+     ValueError, "separation depth must be >= 1"),
+    (lambda: compute_zeta(parse_poly("x"), PAdicContext(3), method="brute"),
+     ValueError, "unknown method 'brute'"),
+    (lambda: solution_counts(parse_poly("x"), PAdicContext(3), 2, method="all"),
+     ValueError, "unknown method 'all'"),
+    (lambda: make_ratfunc([1], [0, 0]), ZeroDivisionError, "zero denominator"),
+    (lambda: rf_series(RationalFunctionT((1,), (0, 1)), 3),
+     PoleAtPoint, "nonzero constant denominator term"),
+], ids=["zero-unit", "multiplicity-0", "l_f-0", "zeta-method", "count-method",
+        "zero-denominator", "series-at-a-pole"])
+def test_library_calls_refuse_invalid_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+BOUND = localzeta.zeta._MAX_DENSE_DEGREE
+
+
+@pytest.mark.parametrize("shift, t_pow, den_pow", [
+    (BOUND, 0, 0), (-BOUND, 0, 0), (0, BOUND, 0), (0, 0, BOUND), (-3, BOUND - 7, 4),
+])
+def test_normal_form_reaches_its_dense_degree_bound_and_no_further(shift, t_pow, den_pow):
+    # the dense degree is max(t_pow) + sum(den_pows) + |shift|: the bound
+    # itself is normalized, and one more anywhere is refused before a list
+    # is built, by the Poincare series too
+    ctx = PAdicContext(3)
+    z = ZetaFunction(ctx, shift, (ZetaTerm(2, 1, t_pow, den_pow), ZetaTerm(1, 1, 0, 0)))
+    assert rf_eval(normalize(z), 1) == F(2, 3) / (F(2, 3) if den_pow else 1) + F(1, 3)
+    message = f"dense degree {BOUND + 1}, past the bound {BOUND}"
+    for past in (replace(z, shift=shift + (1 if shift >= 0 else -1)),
+                 replace(z, terms=(ZetaTerm(2, 1, t_pow + 1, den_pow), z.terms[1]))):
+        for form in (normalize, poincare):
+            with pytest.raises(CapExceeded, match=message):
+                form(past)
+
+
+@pytest.mark.parametrize("terms, shift", [
+    ([{"coeff": "1", "t_pow": 0, "den_pow": 0}], 10**30),
+    ([], 10**30),
+    ([], BOUND + 1),
+])
+def test_normal_form_of_a_document_with_a_huge_shift_is_refused_at_once(terms, shift):
+    # [0] * 10**30 raised OverflowError: cannot fit 'int' into an index-sized
+    # integer; with no terms, the shift alone is the dense degree
+    doc = {"p": "3", "shift": shift, "terms": terms}
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"dense degree {shift}, past the bound {BOUND}"):
+        normalize(zeta_from_json(doc))
+    assert time.perf_counter() - start < 1
 
 
 def test_unit_with_p_content_shifts_the_counts():
