@@ -35,7 +35,7 @@ from .polynomials import (
     parse_poly,
     reduce_to_integral_roots,
 )
-from .ratfunc import decimal, poly_add, poly_mul, rf_equal, rf_eval, rf_format
+from .ratfunc import decimal, poly_add, poly_mul, rf_equal, rf_eval, rf_format, rf_to_json
 from .tree import build_tree, tree_to_dot, tree_to_json, tree_to_text
 from .zeta import compute_zeta, normalize, poincare, zeta_text, zeta_to_json
 
@@ -69,29 +69,23 @@ def _factored(f: DensePoly | FactoredPoly) -> FactoredPoly:
     return find_rational_roots(f) if isinstance(f, DensePoly) else f
 
 
-def _cmd_zeta(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
-    z = compute_zeta(parse_poly(args.poly), ctx, method=args.method)
-    if args.format == "json":
-        return 0, json.dumps(zeta_to_json(z), indent=2)
-    return 0, zeta_text(z)
+# each handler returns its exit status and its output: the text, or the JSON
+# document that main writes
 
 
-def _cmd_poincare(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
+def _cmd_zeta(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str | dict]:
     z = compute_zeta(parse_poly(args.poly), ctx, method=args.method)
-    h = poincare(z)
+    return 0, zeta_to_json(z) if args.format == "json" else zeta_text(z)
+
+
+def _cmd_poincare(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str | dict]:
+    h = poincare(compute_zeta(parse_poly(args.poly), ctx, method=args.method))
     if args.format == "json":
-        return 0, json.dumps(
-            {
-                "p": str(ctx.p),
-                "num": [decimal(c) for c in h.numerator],
-                "den": [decimal(c) for c in h.denominator],
-            },
-            indent=2,
-        )
+        return 0, {"p": str(ctx.p), **rf_to_json(h)}
     return 0, f"H = {rf_format(h)}, t = {ctx.p}^(-s)"
 
 
-def _cmd_count(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
+def _cmd_count(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str | dict]:
     f = parse_poly(args.poly)
     if args.method != "all":
         # c_m = (p*N_m - N_(m+1)) / p**(m+1) needs N_(m+1): the evaluators give
@@ -104,12 +98,11 @@ def _cmd_count(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
             coeffs = (
                 Fraction(p * counts[m] - counts[m + 1], p ** (m + 1)) for m in range(depth)
             )
-            doc = {
+            return 0, {
                 "p": str(p),
                 "counts": [decimal(v) for v in shown],
                 "coeffs": [decimal(c) for c in coeffs],
             }
-            return 0, json.dumps(doc, indent=2)
         return 0, "\n".join(f"N_{m} = {decimal(v)}" for m, v in enumerate(shown))
     dense = as_integer_poly(f)  # IntegralityError comes before the factorisation
     factored = _factored(f)
@@ -119,12 +112,11 @@ def _cmd_count(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
         columns[method] = solution_counts(g, ctx, args.max_m, method, cap=args.brute_cap)
     agree = columns["tree"] == columns["spf"] == columns["brute"]
     if args.format == "json":
-        doc = {
+        return (0 if agree else 2), {
             "p": str(ctx.p),
             "methods": {k: [decimal(v) for v in vs] for k, vs in columns.items()},
             "agree": agree,
         }
-        return (0 if agree else 2), json.dumps(doc, indent=2)
     lines = ["m\ttree\tspf\tbrute"]
     for m in range(args.max_m + 1):
         row = (decimal(columns[method][m]) for method in ("tree", "spf", "brute"))
@@ -133,26 +125,21 @@ def _cmd_count(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
     return (0 if agree else 2), "\n".join(lines)
 
 
-def _cmd_keystream(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
+def _cmd_keystream(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str | dict]:
     ks = keystream(
         parse_poly(args.poly), ctx, args.max_m, args.method, cap=args.brute_cap
     )
-    if args.format == "json":
-        return 0, json.dumps(ks.to_json(), indent=2)
-    return 0, ks.to_text()
+    return 0, ks.to_json() if args.format == "json" else ks.to_text()
 
 
-def _cmd_tree(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
+def _cmd_tree(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str | dict]:
     reduced = reduce_to_integral_roots(parse_poly(args.poly), ctx)
     tree = build_tree(reduced.fplus, ctx, compute_lf(reduced.fplus, ctx))
-    if args.format == "json":
-        return 0, json.dumps(tree_to_json(tree), indent=2)
-    if args.format == "dot":
-        return 0, tree_to_dot(tree)
-    return 0, tree_to_text(tree)
+    render = {"json": tree_to_json, "dot": tree_to_dot, "text": tree_to_text}[args.format]
+    return 0, render(tree)
 
 
-def _cmd_lfsr(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
+def _cmd_lfsr(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str | dict]:
     register = Lfsr(ctx.p, args.taps, args.init)
     outputs = lfsr_run(register.copy(), args.steps)
     period = period_of(register) if args.period else None
@@ -165,7 +152,7 @@ def _cmd_lfsr(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
         }
         if period is not None:
             doc["period"] = period
-        return 0, json.dumps(doc, indent=2)
+        return 0, doc
     lines = ["output: " + " ".join(str(v) for v in outputs)]
     if period is not None:
         lines.append(f"period: {period}")
@@ -305,6 +292,8 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "brute_cap"):  # every command but lfsr
             args.brute_cap = _brute_cap(args.brute_cap, ctx.p)
         status, output = args.handler(args, ctx)
+        if not isinstance(output, str):  # a JSON document: it fails only past the digit limit
+            output = decimal(output, lambda doc: json.dumps(doc, indent=2))
         if output:
             print(output, flush=True)
     except LocalZetaError as exc:

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import CapExceeded, InvariantViolation, PoleAtPoint
 
@@ -230,15 +230,18 @@ def rf_series(r: RationalFunctionT, count: int) -> list[Fraction]:
     return out
 
 
-def decimal(value: int | Fraction) -> str:
-    """str(value), or CapExceeded past the interpreter's int-to-str digit limit.
+def decimal(value: object, render: Callable[[object], str] = str) -> str:
+    """render(value), str(value) by default, or CapExceeded past the int-to-str digit limit.
 
-    The limit itself is left as it is.  Interpreters before 3.10.7 have no
-    limit (and no sys.get_int_max_str_digits), so str never fails there
-    and the handler is reached only where the limit exists.
+    render may raise ValueError for that limit only: str does on an int or
+    a Fraction, and json.dumps on a document built of str, int, bool, None,
+    lists and dicts.  The limit itself is left as it is.  Interpreters
+    before 3.10.7 have no limit (and no sys.get_int_max_str_digits), so
+    render never fails there and the handler is reached only where the
+    limit exists.
     """
     try:
-        return str(value)
+        return render(value)
     except ValueError:
         raise CapExceeded(
             "a value has more decimal digits than the int-to-str limit of "
@@ -266,6 +269,11 @@ def poly_format(coeffs: Sequence[int]) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
+
+
+def rf_to_json(r: RationalFunctionT) -> dict[str, list[str]]:
+    """{"num", "den"}: the coefficients as decimal strings, constant term first."""
+    return {"num": [decimal(c) for c in r.numerator], "den": [decimal(c) for c in r.denominator]}
 
 
 def rf_format(r: RationalFunctionT) -> str:

@@ -115,8 +115,8 @@ def tree_to_text(tree: WeightedTree) -> str:
     lines = [f"tree p={tree.p} l_f={tree.l_f}"]
     for v in tree.vertices:
         lines.append(
-            f"node {v.id} level={v.level} residue={decimal(v.residue)} "
-            f"weight={v.weight} stalk_weight={v.stalk_weight} valence={v.valence}"
+            f"node {v.id} level={v.level} residue={decimal(v.residue)} weight={decimal(v.weight)} "
+            f"stalk_weight={decimal(v.stalk_weight)} valence={v.valence}"
         )
     for v in tree.vertices:
         if v.parent is not None:
@@ -245,7 +245,7 @@ def tree_to_dot(tree: WeightedTree) -> str:
         else:
             label = (
                 f"{decimal(v.residue)} mod {tree.p}^{v.level}\\n"
-                f"W={v.weight} W*={v.stalk_weight} Val={v.valence}"
+                f"W={decimal(v.weight)} W*={decimal(v.stalk_weight)} Val={v.valence}"
             )
         lines.append(f'  n{v.id} [label="{label}"];')
     for v in tree.vertices:

@@ -42,6 +42,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, starmap, zip_longest
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import CapExceeded, InvariantViolation, MalformedDocument, RecursionDepthExceeded
@@ -54,7 +55,7 @@ from .polynomials import (
     compute_lf,
     reduce_to_integral_roots,
 )
-from .ratfunc import RationalFunctionT, _trimmed, decimal, rf_format
+from .ratfunc import RationalFunctionT, _trimmed, decimal, rf_format, rf_to_json
 from .tree import WeightedTree, build_tree, json_int
 
 Roots = tuple[tuple[Fraction, int], ...]
@@ -241,14 +242,6 @@ def _div_binomial(a: list[int], p: int, b: int) -> list[int] | None:
     return None if any(r[:b]) else q
 
 
-def _too_dense(z: ZetaFunction, bs: list[int]) -> CapExceeded:
-    """The error for a normal form past _MAX_DENSE_DEGREE, naming its dense degree."""
-    degree = max((t.t_pow for t in z.terms), default=0) + sum(bs) + abs(z.shift)
-    return CapExceeded(
-        f"the normal form has dense degree {decimal(degree)}, past the bound {_MAX_DENSE_DEGREE}"
-    )
-
-
 def _combined(z: ZetaFunction) -> tuple[list[int], int, int, list[int]]:
     """Z = num / (scale * t**k * prod_b (p - t**b)), all in integers.
 
@@ -259,21 +252,22 @@ def _combined(z: ZetaFunction) -> tuple[list[int], int, int, list[int]]:
     num = num * (p - t**b_i) + bucket_i * prod_{l<i} (p - t**b_l).  So num
     takes each binomial once and bucket i takes i - 1 of them, k(k+1)/2
     binomial products in all where multiplying each bucket by every other
-    factor takes k**2.  A dense degree max(t_pow) + sum(b_i) + |shift|
-    past _MAX_DENSE_DEGREE raises CapExceeded before a list is built.
+    factor takes k**2.  The dense degree max(t_pow) + sum(b_i) + |shift|
+    is checked once, before the pass over the terms: past
+    _MAX_DENSE_DEGREE it raises CapExceeded, and no list is built.
     """
     p = z.ctx.p
     bs = sorted({t.den_pow for t in z.terms if t.den_pow})
-    room = _MAX_DENSE_DEGREE - sum(bs) - abs(z.shift)  # what the largest t_pow may take
-    if room < 0:
-        raise _too_dense(z, bs)
+    degree = max(map(attrgetter("t_pow"), z.terms), default=0) + sum(bs) + abs(z.shift)
+    if degree > _MAX_DENSE_DEGREE:
+        raise CapExceeded(
+            f"the normal form has dense degree {decimal(degree)}, past the bound {_MAX_DENSE_DEGREE}"
+        )
     scale, cs = z.scaled_coeffs
     buckets: dict[int, list[int]] = {b: [] for b in [0, *bs]}
     for term, c in zip(z.terms, cs):
         bucket = buckets[term.den_pow]
         if len(bucket) <= term.t_pow:
-            if term.t_pow > room:
-                raise _too_dense(z, bs)
             bucket.extend([0] * (term.t_pow + 1 - len(bucket)))
         bucket[term.t_pow] += c * p if term.den_pow else c
     num = buckets[0]
@@ -357,31 +351,25 @@ def poincare(z: ZetaFunction) -> RationalFunctionT:
 # ---------------------------------------------------------------------------
 
 
-def _coeffs(z: ZetaFunction) -> dict[tuple[int, int], tuple[str, str]]:
-    """Each distinct coefficient c/p**j of z as text: bare, and as a factor.
+def _coeffs(z: ZetaFunction) -> dict[tuple[int, int], str]:
+    """Each distinct coefficient c/p**j of z as text in lowest terms, e.g. '-2/27'.
 
-    A Fraction is formed once per distinct coefficient, to print it in
-    lowest terms; the factor text is parenthesised when the coefficient is
-    a fraction or negative.
+    A Fraction is formed once per distinct coefficient, to print it.
     """
     p = z.ctx.p
-    texts = {}
-    for c, j in {(t.c, t.j) for t in z.terms}:
-        q = Fraction(c, p**j)
-        bare = decimal(q)
-        texts[c, j] = bare, f"({bare})" if q.denominator != 1 or q < 0 else bare
-    return texts
+    return {(c, j): decimal(Fraction(c, p**j)) for c, j in {(t.c, t.j) for t in z.terms}}
 
 
-def term_text(term: ZetaTerm, coeff: tuple[str, str], p: int) -> str:
+def term_text(term: ZetaTerm, bare: str, p: int) -> str:
     """One term in t = p**(-s) notation, e.g. '(2/27)*t^4 / (1 - t/3)'.
 
-    coeff is the (bare, factor) text of the term's coefficient from ``_coeffs``.
+    bare is the text of the term's coefficient from ``_coeffs``; before a
+    power of t it is parenthesised when it is a fraction or negative.
     """
-    bare, factor = coeff
     if term.t_pow == 0:
         body = bare
     else:
+        factor = f"({bare})" if "/" in bare or bare[0] == "-" else bare
         power = "t" if term.t_pow == 1 else f"t^{term.t_pow}"
         body = f"{factor}*{power}"
     if term.den_pow == 0:
@@ -391,13 +379,17 @@ def term_text(term: ZetaTerm, coeff: tuple[str, str], p: int) -> str:
 
 
 def zeta_text(z: ZetaFunction) -> str:
-    """Multi-line rendering: the term sum, then the normalized form."""
+    """Multi-line rendering: the term sum, then the normalized form.
+
+    The normal form is computed before the first line, so its dense-degree
+    check refuses an oversized z before any exponent is formatted.
+    """
     p = z.ctx.p
+    rf = normalize(z)
     lines = [f"p = {p}, shift = {z.shift}", "terms:"]
     coeffs = _coeffs(z)
     for term in z.sorted_terms():
         lines.append(f"  {term_text(term, coeffs[term.c, term.j], p)}")
-    rf = normalize(z)
     lines.append(f"Z = {rf_format(rf)}, t = {p}^(-s)")
     return "\n".join(lines)
 
@@ -410,13 +402,10 @@ def zeta_to_json(z: ZetaFunction) -> dict:
         "p": str(z.ctx.p),
         "shift": z.shift,
         "terms": [
-            {"coeff": coeffs[t.c, t.j][0], "t_pow": t.t_pow, "den_pow": t.den_pow}
+            {"coeff": coeffs[t.c, t.j], "t_pow": t.t_pow, "den_pow": t.den_pow}
             for t in z.terms
         ],
-        "normalized": {
-            "num": [decimal(c) for c in rf.numerator],
-            "den": [decimal(c) for c in rf.denominator],
-        },
+        "normalized": rf_to_json(rf),
     }
 
 

@@ -560,6 +560,28 @@ def test_values_past_the_digit_limit_exit_one(capsys, argv):
     assert "Traceback" not in err
 
 
+# N = 99...9 has as many digits as the int-to-str limit allows, so the parser
+# reads it, but 2N has one digit more: the t-power of a Z term and the stalk
+# weight of a tree vertex
+NINES = "9" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
+
+
+@DEFAULT_DIGIT_LIMIT
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--poly", f"(x-1)^{NINES}"],
+    ["zeta", "--method", "spf", "--poly", f"(x-1)^{NINES}*(x-4)^{NINES}"],
+    *(["tree", "--format", form, "--poly", f"(x-1)^{NINES}"] for form in ("text", "json", "dot")),
+], ids=["zeta-tree", "zeta-spf", "tree-text", "tree-json", "tree-dot"])
+def test_a_small_output_with_a_number_past_the_digit_limit_exits_one(capsys, argv):
+    # each raised ValueError: zeta wrote t^(2N) before the normal form's size
+    # check ran, and tree printed the stalk weight 2N as a bare int
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, *argv, "--prime", "3")
+    assert time.perf_counter() - start < 1
+    assert (status, out) == (1, "")
+    assert err.startswith("error: CapExceeded: ") and "Traceback" not in err
+
+
 @DEFAULT_DIGIT_LIMIT
 def test_brute_cap_message_past_the_digit_limit(capsys):
     # p^3000 has 6013 digits, so the message names the power only
@@ -594,6 +616,8 @@ def test_brute_cap_check_does_not_form_a_huge_power(capsys):
     (["keystream", "--poly", "x^2", "--prime", "2", "--length", "5000"], 1),
     # one short line, which a pipe buffers until it is flushed
     (["zeta", "--poly", "x", "--prime", "5"], 0),
+    # N_m = 3^floor(m/2), about 1 MB: one line read, then the pipe closes
+    (["keystream", "--poly", "x^2", "--prime", "3", "--length", "3000"], 1),
 ])
 def test_closed_pipe_exits_one_without_a_traceback(argv, lines):
     src = str(Path(localzeta.cli.__file__).resolve().parents[1])

@@ -102,6 +102,8 @@ def test_counts_from_coeffs_rejects_bad_streams():
         counts_from_coeffs([F(1, 2)], ctx, 1)  # denominator not a power of 3
     with pytest.raises(NonIntegralCount):
         counts_from_coeffs([F(-1, 3)], ctx, 1)
+    with pytest.raises(NonIntegralCount, match=r"^N_2 = -3 is not a nonnegative integer$"):
+        counts_from_coeffs([F(2, 3), F(2, 3)], ctx, 2)  # the measures add up past 1
     with pytest.raises(ValueError):
         counts_from_coeffs([F(1, 3)], ctx, 2)
 

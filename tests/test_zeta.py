@@ -37,6 +37,7 @@ from localzeta import (
     rf_add,
     rf_equal,
     rf_eval,
+    rf_format,
     rf_from_poly,
     rf_mul,
     rf_series,
@@ -728,12 +729,21 @@ def test_rf_equal_examples():
 # ---------------------------------------------------------------------------
 
 
+def test_rf_format_of_zero():
+    # no Z or H is zero, so no command prints it
+    assert rf_format(RationalFunctionT((0,), (1,))) == "0"
+
+
 def test_zeta_text_contains_normal_form():
     ctx = PAdicContext(5)
     z = compute_zeta(parse_poly("x"), ctx)
     text = zeta_text(z)
     assert text.splitlines()[-1] == "Z = 4/(5 - t), t = 5^(-s)"
     assert "(4/25)*t / (1 - t/5)" in text
+    # a document may hold any coefficients: a negative or fractional one is
+    # parenthesised before a power of t, an integer one is not
+    z = ZetaFunction(ctx, 0, (ZetaTerm(-2, 0, 2, 1), ZetaTerm(3, 0, 1, 0), ZetaTerm(-1, 1, 0, 0)))
+    assert zeta_text(z).splitlines()[2:5] == ["  -1/5", "  3*t", "  (-2)*t^2 / (1 - t/5)"]
 
 
 def test_zeta_json_round_trip():
