@@ -3,7 +3,7 @@
 For a polynomial f over Q whose roots are all rational and a prime p, this
 package computes the local zeta function Z(t, f) (t = p**(-s)) as an exact
 rational function, the Poincare series H(t, f), the exact coefficient and
-solution-count streams c_m and N_m, and an LFSR/keystream layer — every
+solution-count streams c_m and N_m, and an LFSR layer — every
 result cross-checkable against a brute-force counting oracle.
 """
 
@@ -34,9 +34,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .lfsr import (
-    Keystream,
     Lfsr,
-    keystream,
     lfsr_from_rational,
     lfsr_generating_function,
     lfsr_run,

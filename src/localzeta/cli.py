@@ -24,7 +24,7 @@ from .counting import (
 )
 from .errors import InvariantViolation, LocalZetaError, NonIntegralCount, PoleAtPoint
 from .errors import RecursionDepthExceeded
-from .lfsr import Lfsr, keystream, lfsr_run, period_of
+from .lfsr import Lfsr, lfsr_run, period_of
 from .padic import PAdicContext
 from .polynomials import (
     DensePoly,
@@ -126,10 +126,10 @@ def _cmd_count(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str | 
 
 
 def _cmd_keystream(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str | dict]:
-    ks = keystream(
-        parse_poly(args.poly), ctx, args.max_m, args.method, cap=args.brute_cap
-    )
-    return 0, ks.to_json() if args.format == "json" else ks.to_text()
+    values = solution_counts(parse_poly(args.poly), ctx, args.max_m, args.method, cap=args.brute_cap)
+    if args.format == "json":
+        return 0, {"p": str(ctx.p), "u": args.max_m, "values": [decimal(v) for v in values]}
+    return 0, "\n".join(map(decimal, values))
 
 
 def _cmd_tree(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str | dict]:

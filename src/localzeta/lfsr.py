@@ -1,21 +1,19 @@
-"""Linear feedback shift registers over F_p and the solution-count keystream.
+"""Linear feedback shift registers over F_p.
 
 A register of length r with taps q_1..q_r produces a_n = -(q_1*a_{n-1} +
 ... + q_r*a_{n-r}) mod p and outputs a_0, a_1, ... in order.  Its
 generating function g(x) = sum a_i x**i satisfies g(x) * R(x) = L(x) with
 R(x) = 1 + q_1 x + ... + q_r x**r and deg L < r, which pins the
 correspondence between registers with q_r != 0 and such rational
-functions.  The keystream map sends a polynomial in Z[x] with rational
-roots to its count sequence N_0..N_u.
+functions.  The keystream of a polynomial is its count sequence N_0..N_u,
+``counting.solution_counts``.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from operator import mul
 
-from .counting import DEFAULT_CAP, solution_counts
 from .errors import (
     CapExceeded,
     DegenerateTaps,
@@ -23,8 +21,7 @@ from .errors import (
     LocalZetaError,
 )
 from .padic import PAdicContext
-from .polynomials import DensePoly, FactoredPoly
-from .ratfunc import _trimmed, decimal
+from .ratfunc import _trimmed
 
 CoeffPair = tuple[tuple[int, ...], tuple[int, ...]]  # (L, R) coefficients mod p
 
@@ -45,17 +42,10 @@ class Lfsr:
         if len(init) != len(taps):
             raise LocalZetaError("state length must equal the register length")
         PAdicContext(p)  # InvalidPrime unless p is a prime int
-        self._load(p, taps, init)
-
-    def _load(
-        self, p: int, taps: list[int] | tuple[int, ...], init: list[int] | tuple[int, ...]
-    ) -> "Lfsr":
-        """Set the register from checked arguments: p proved prime, len(init) == len(taps) >= 1."""
         self.p = p
         self.taps = tuple(q % p for q in taps)
         self._aligned = self.taps[::-1]  # q_r..q_1, against the window oldest first
         self._window = tuple(a % p for a in init)
-        return self
 
     @property
     def r(self) -> int:
@@ -159,57 +149,21 @@ def lfsr_from_rational(g: CoeffPair, p: int) -> Lfsr:
     Requires deg(numerator) < deg(denominator) = r with a nonzero
     degree-r denominator coefficient mod p (otherwise the sequence is
     only eventually periodic and no length-r register realizes it).
-    A modulus that is no prime int raises InvalidPrime before any of these.
+    A modulus that is no prime int raises InvalidPrime before any of these:
+    the register proves p, and a step that fails before it proves p first.
     """
-    PAdicContext(p)
-    num = _trimmed([c % p for c in g[0]])
-    den = _trimmed([c % p for c in g[1]])
-    r = len(den) - 1
-    if r < 1:
-        raise DegreeViolation("denominator must have degree >= 1 mod p")
-    init = series_mod_p((num, den), p, r)  # rejects a zero constant term
-    if len(num) - 1 >= r and any(num):
-        raise DegreeViolation("numerator degree must be below denominator degree")
-    inv0 = pow(den[0], -1, p)
-    taps = [den[i] * inv0 % p for i in range(1, r + 1)]
-    return Lfsr.__new__(Lfsr)._load(p, taps, init)  # p is proved above
-
-
-# ---------------------------------------------------------------------------
-# the keystream map
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Keystream:
-    """The finite sequence N_0..N_u extracted from one polynomial and prime."""
-
-    p: int
-    u: int
-    values: tuple[int, ...]
-
-    def to_text(self) -> str:
-        """Wire format: decimal big integers, one per line."""
-        return "\n".join(map(decimal, self.values))
-
-    def to_bytes(self) -> bytes:
-        return self.to_text().encode("ascii")
-
-    def to_json(self) -> dict:
-        return {"p": str(self.p), "u": self.u, "values": [decimal(v) for v in self.values]}
-
-
-def keystream(
-    f: DensePoly | FactoredPoly,
-    ctx: PAdicContext,
-    u: int,
-    method: str = "tree",
-    cap: int = DEFAULT_CAP,
-) -> Keystream:
-    """N_0..N_u through the full pipeline (or the brute-force oracle).
-
-    The counts come from ``solution_counts`` in integers; no coefficient
-    c_m is formed.
-    """
-    counts = solution_counts(f, ctx, u, method=method, cap=cap)
-    return Keystream(p=ctx.p, u=u, values=tuple(counts))
+    try:
+        num = _trimmed([c % p for c in g[0]])
+        den = _trimmed([c % p for c in g[1]])
+        r = len(den) - 1
+        if r < 1:
+            raise DegreeViolation("denominator must have degree >= 1 mod p")
+        init = series_mod_p((num, den), p, r)  # rejects a zero constant term
+        if len(num) - 1 >= r and any(num):
+            raise DegreeViolation("numerator degree must be below denominator degree")
+        inv0 = pow(den[0], -1, p)
+        taps = [den[i] * inv0 % p for i in range(1, r + 1)]
+    except Exception:  # a modulus that is no prime may fail any step above
+        PAdicContext(p)
+        raise
+    return Lfsr(p, taps, init)

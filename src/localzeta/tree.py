@@ -215,8 +215,11 @@ def tree_from_json(doc: dict | str) -> WeightedTree:
     return tree
 
 
-def _first_difference(doc: tuple[Vertex, ...], built: tuple[Vertex, ...]) -> str | None:
-    """The first field in which the document's vertices differ from the built ones."""
+def _first_difference(doc: tuple[Vertex, ...], built: tuple[Vertex, ...]) -> str:
+    """The first field in which the document's vertices differ from the built ones.
+
+    The caller passes only vertex tuples that differ, so a length or a field does.
+    """
     if len(doc) != len(built):
         return f"the document has {len(doc)} vertices, but the tree of the leaves has {len(built)}"
     for i, (v, w) in enumerate(zip(doc, built)):
@@ -225,7 +228,6 @@ def _first_difference(doc: tuple[Vertex, ...], built: tuple[Vertex, ...]) -> str
                 name = field.replace("_", " ")
                 mine, theirs = _shown(mine), _shown(theirs)
                 return f"vertex {i} has {name} {mine}, but the tree of the leaves has {theirs}"
-    return None
 
 
 def _shown(value: object) -> str:

@@ -260,9 +260,11 @@ def _combined(z: ZetaFunction) -> tuple[list[int], int, int, list[int]]:
     bs = sorted({t.den_pow for t in z.terms if t.den_pow})
     degree = max(map(attrgetter("t_pow"), z.terms), default=0) + sum(bs) + abs(z.shift)
     if degree > _MAX_DENSE_DEGREE:
-        raise CapExceeded(
-            f"the normal form has dense degree {decimal(degree)}, past the bound {_MAX_DENSE_DEGREE}"
-        )
+        try:
+            size = f"dense degree {degree}"
+        except ValueError:  # str(degree) is past the int-to-str digit limit
+            size = "a dense degree past the int-to-str digit limit"
+        raise CapExceeded(f"the normal form has {size}, past the bound {_MAX_DENSE_DEGREE}")
     scale, cs = z.scaled_coeffs
     buckets: dict[int, list[int]] = {b: [] for b in [0, *bs]}
     for term, c in zip(z.terms, cs):

@@ -583,6 +583,20 @@ def test_a_small_output_with_a_number_past_the_digit_limit_exits_one(capsys, arg
 
 
 @DEFAULT_DIGIT_LIMIT
+@pytest.mark.parametrize("argv", [["zeta"], ["poincare"], ["verify", "--max-m", "4"]],
+                         ids=["zeta", "poincare", "verify"])
+def test_a_dense_degree_past_the_digit_limit_names_the_bound(capsys, argv):
+    # the tree terms of (x - 1)^N give dense degree 3N, one digit past the
+    # limit; the message named neither the normal form nor the bound
+    status, out, err = run_cli(capsys, *argv, "--prime", "3", "--poly", f"(x-1)^{NINES}")
+    assert (status, out) == (1, "")
+    assert err == (
+        "error: CapExceeded: the normal form has a dense degree past the int-to-str "
+        "digit limit, past the bound 100000\n"
+    )
+
+
+@DEFAULT_DIGIT_LIMIT
 def test_brute_cap_message_past_the_digit_limit(capsys):
     # p^3000 has 6013 digits, so the message names the power only
     status, _, err = run_cli(

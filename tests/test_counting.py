@@ -31,7 +31,6 @@ from localzeta import (
     coeff_stream,
     compute_zeta,
     counts_from_coeffs,
-    keystream,
     normalize,
     parse_poly,
     poincare,
@@ -305,7 +304,7 @@ def test_brute_count_zero_level():
 
 
 def test_keystream_length_zero():
-    assert keystream(parse_poly("x^2 - 1"), PAdicContext(2), 0).values == (1,)
+    assert tuple(solution_counts(parse_poly("x^2 - 1"), PAdicContext(2), 0)) == (1,)
 
 
 def test_check_counts():
@@ -331,7 +330,7 @@ def test_count_sequence_rejects_negative_depth(method):
 
 def test_keystream_rejects_negative_depth():
     with pytest.raises(LocalZetaError, match="max-m/length must be nonnegative"):
-        keystream(parse_poly("x"), PAdicContext(3), -2, method="brute")
+        solution_counts(parse_poly("x"), PAdicContext(3), -2, method="brute")
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +476,7 @@ def test_keystream_needs_no_fraction_and_no_normal_form(monkeypatch):
 
     f = parse_poly("5*(x-1)^3*(x-4)^2*(x+7)*(x - 2/5)")
     ctx = PAdicContext(3)
-    expected = {m: keystream(f, ctx, 80, method=m).values for m in ("tree", "spf")}
+    expected = {m: tuple(solution_counts(f, ctx, 80, method=m)) for m in ("tree", "spf")}
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called on the keystream path")
@@ -488,7 +487,7 @@ def test_keystream_needs_no_fraction_and_no_normal_form(monkeypatch):
     monkeypatch.setattr(zeta, "Fraction", forbidden)
     monkeypatch.setattr(FactoredPoly, "expand", forbidden)
     for method, values in expected.items():
-        assert keystream(f, ctx, 80, method=method).values == values
+        assert tuple(solution_counts(f, ctx, 80, method=method)) == values
     assert expected["tree"] == expected["spf"]
 
 
@@ -508,7 +507,7 @@ def test_poincare_counts_rejects_a_corrupted_denominator(monkeypatch):
                                                    for i, c in enumerate(h.denominator)))
     monkeypatch.setattr(counting, "poincare", lambda z: doubled)
     with pytest.raises(NonIntegralCount):
-        keystream(f, ctx, 5, method="spf")
+        solution_counts(f, ctx, 5, method="spf")
 
 
 def test_tree_counts_reject_coefficients_off_the_p_scale():
