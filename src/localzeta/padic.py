@@ -163,7 +163,8 @@ def residue(x: Fraction | int, ctx: PAdicContext, m: int) -> int:
     Writing x = a/b with p coprime to b, the residue is a * b**-1 mod p**m,
     the unique r in range with v_p(x - r) >= m.
     """
-    if x.denominator % ctx.p == 0:
+    a, b = x.numerator, x.denominator
+    if b % ctx.p == 0:
         raise NegativeValuation(f"v_{ctx.p}({x}) < 0, no residue mod {ctx.p}^{m}")
     q = ctx.p**m
-    return x.numerator * pow(x.denominator, -1, q) % q
+    return a * pow(b, -1, q) % q

@@ -13,6 +13,9 @@ roots mod p with the same ``roots_mod``: a residue scan for small q and
 a self-checking gcd(g, x**q - x) kernel for large q.  ``poly_gcd`` hands
 back G = gcd(P, P') with the squarefree part P / G, and a root's
 multiplicity is read off G, so P itself is never divided.
+
+A well-formed factored text is read by one regex match per factor; any
+other text goes to the token walk, which produces every parse error.
 """
 
 from __future__ import annotations
@@ -288,8 +291,56 @@ def _parse_factored(p: _Parser) -> FactoredPoly:
         p.take("*", "'*' between factors")
     if unit[0] == 0:
         raise ZeroPolynomial("zero unit")
+    return _factored(unit, roots)
+
+
+# The factored form in one match per factor, with the walk's token classes:
+# the optional unit prefix, then (x -/+ a[/b])[^e] followed by '*' or the end.
+_UNIT = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*(?:/\s*(\d+)\s*)?\*)?")
+_FACTOR = re.compile(
+    r"\s*\(\s*x\s*([+-])\s*(\d+)\s*(?:/\s*(\d+)\s*)?\)\s*(?:\^\s*(\d+)\s*)?(\*|\Z)"
+)
+
+
+def _read_factored(text: str) -> FactoredPoly | None:
+    """A well-formed factored text read from its match groups, or None for the walk.
+
+    None is returned where the pattern does not match (any malformed text,
+    and a doubled sign such as ``(x - - 1)``, which the walk reads), on an
+    int() past the digit limit, a zero denominator, an exponent below 1 and
+    a zero unit.  So every error comes from the walk.
+    """
+    m = _UNIT.match(text)
+    sign, num, den = m.groups()
+    roots: dict[tuple[int, int], int] = {}  # reduced (a, b) -> multiplicity
+    try:
+        a, b = int(num or 1), int(den or 1)
+        if a == 0 or b == 0:
+            return None
+        pos, more = m.end(), True
+        while more:
+            m = _FACTOR.match(text, pos)
+            if m is None:
+                return None
+            op, c, d, e, more = m.groups()
+            c, d, mult = int(c), int(d or 1), int(e or 1)
+            if d == 0 or mult < 1:
+                return None
+            g = math.gcd(c, d)
+            root = (c // g if op == "-" else -c // g, d // g)
+            roots[root] = roots.get(root, 0) + mult
+            pos = m.end()
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        return None
+    g = math.gcd(a, b)
+    return _factored((-a // g if sign == "-" else a // g, b // g), roots)
+
+
+def _factored(unit: tuple[int, int], roots: dict[tuple[int, int], int]) -> FactoredPoly:
+    """The FactoredPoly of a reduced unit pair and {(a, b): multiplicity}."""
     return FactoredPoly(
-        Fraction(*unit), tuple((Fraction(a, b), e) for (a, b), e in roots.items())
+        Fraction(*unit),
+        tuple((Fraction(a) if b == 1 else Fraction(a, b), e) for (a, b), e in roots.items()),
     )
 
 
@@ -301,7 +352,15 @@ def parse_poly(text: str) -> DensePoly | FactoredPoly:
     factors joined by '*'.  ``c`` is an integer or ``a/b`` fraction;
     whitespace is ignored.  Duplicate factors are merged on the reduced
     value, so ``(x - 1/2)*(x - 2/4)`` is ``(x - 1/2)^2``.
+
+    A well-formed factored text is read by one regex match per factor.
+    Anything else goes to the token walk, which produces every
+    ``ParseError`` (with its position) and every ``ZeroPolynomial``.
     """
+    if "(" in text:
+        f = _read_factored(text)
+        if f is not None:
+            return f
     parser = _Parser(text)
     result = _parse_factored(parser) if "(" in parser.tokens else _parse_expression(parser)
     parser.take("", "end of input")

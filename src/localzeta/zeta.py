@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, starmap, zip_longest
@@ -212,8 +212,7 @@ def compute_zeta(
         tree = build_tree(reduced.fplus, ctx, compute_lf(reduced.fplus, ctx))
         return generating_function(tree, shift=reduced.shift)
     if method == "spf":
-        z = spf_eval(reduced.fplus.roots, ctx)
-        return replace(z, shift=reduced.shift)
+        return ZetaFunction(ctx, reduced.shift, spf_eval(reduced.fplus.roots, ctx).terms)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -27,7 +27,7 @@ from localzeta import (
     reduce_to_integral_roots,
     vp,
 )
-from localzeta.polynomials import _Parser
+from localzeta.polynomials import _Parser, _parse_expression, _parse_factored
 from tokenize_reference import tokenize
 
 F = Fraction
@@ -300,6 +300,51 @@ def test_tokens_match_the_character_loop(text):
         assert err.position in starts
     except ZeroPolynomial:
         pass
+
+
+def walk(text):
+    """parse_poly as the token walk alone reads text."""
+    p = _Parser(text)
+    f = _parse_factored(p) if "(" in p.tokens else _parse_expression(p)
+    p.take("", "end of input")
+    return f
+
+
+def outcome(parse, text):
+    """The polynomial, or the error's type, message and position."""
+    try:
+        return parse(text)
+    except LocalZetaError as err:
+        return type(err), str(err), getattr(err, "position", None)
+
+
+@st.composite
+def edited_factored_texts(draw):
+    """A factored text with 0-2 characters of PARSER_ALPHABET inserted, replaced or deleted."""
+    text = draw(factored_texts())[0]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from(PARSER_ALPHABET))
+        text = draw(st.sampled_from([text[:i] + c + text[i:], text[:i] + c + text[i + 1:],
+                                     text[:i] + text[i + 1:]]))
+    return text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edited_factored_texts())
+@example("(x-1)*(x-2)^0")
+@example("(x-1)*(x-2/0)")
+@example("1/0*(x-1)")
+@example("0*(x-1)")
+@example("(x-1)*(x-2)*")
+@example("(x-1)(x-2)")
+@example("(x - - 1)")
+@example("(x - " + "9" * 4301 + ")")
+@example("(x - \u0661)^\u0662\u3000*\u3000(x - \u0664\u0660)")
+def test_the_factor_reader_gives_the_walks_result_or_error(text):
+    # a well-formed factored text is read by one match per factor; anything
+    # the reader does not accept goes to the walk, so no outcome may differ
+    assert outcome(parse_poly, text) == outcome(walk, text)
 
 
 # ---------------------------------------------------------------------------
