@@ -140,7 +140,7 @@ def _cmd_tree(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str | d
 
 
 def _cmd_lfsr(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str | dict]:
-    register = Lfsr(ctx.p, args.taps, args.init)
+    register = Lfsr(ctx, args.taps, args.init)  # main has proved p
     outputs = lfsr_run(register.copy(), args.steps)
     period = period_of(register) if args.period else None
     if args.format == "json":

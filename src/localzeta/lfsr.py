@@ -31,21 +31,27 @@ PERIOD_STEP_BUDGET = 10**6  # register steps period_of may take before CapExceed
 class Lfsr:
     """Mutable register state; stepping is single-owner, everything else copies.
 
-    The modulus p must be a prime int (InvalidPrime otherwise).  `init` holds
-    the first r outputs a_0..a_{r-1}; the live state is the sliding window
-    of the next r outputs.
+    The modulus p is a prime int, proved here (InvalidPrime otherwise), or
+    a PAdicContext, whose p is already proved.  `init` holds the first r
+    outputs a_0..a_{r-1}; the live state is the sliding window of the next
+    r outputs.
     """
 
-    def __init__(self, p: int, taps: list[int] | tuple[int, ...], init: list[int] | tuple[int, ...]):
+    def __init__(
+        self,
+        p: int | PAdicContext,
+        taps: list[int] | tuple[int, ...],
+        init: list[int] | tuple[int, ...],
+    ):
         if len(taps) < 1:
             raise LocalZetaError("register length must be >= 1")
         if len(init) != len(taps):
             raise LocalZetaError("state length must equal the register length")
-        PAdicContext(p)  # InvalidPrime unless p is a prime int
-        self.p = p
-        self.taps = tuple(q % p for q in taps)
+        ctx = p if isinstance(p, PAdicContext) else PAdicContext(p)  # InvalidPrime unless prime
+        self.p = ctx.p
+        self.taps = tuple(q % ctx.p for q in taps)
         self._aligned = self.taps[::-1]  # q_r..q_1, against the window oldest first
-        self._window = tuple(a % p for a in init)
+        self._window = tuple(a % ctx.p for a in init)
 
     @property
     def r(self) -> int:

@@ -9,7 +9,8 @@ Two independent evaluators are kept deliberately as mutual oracles:
 * ``spf_eval`` reduces each root once mod p**k and recurses on residue
   classes mod p (unit-locus count nu, simple-root count delta, and a
   sub-problem on the residues x // p per multiple root), closing
-  single-root integrals in closed form.
+  single-root integrals in closed form; each term is formed once, at its
+  own level, with the scale of the levels above it passed down.
 
 Both emit ``ZetaTerm``s (c, j, t_pow, den_pow), meaning
 ``c/p**j * t**t_pow / (1 - t**den_pow / p)`` in t = p**(-s) (no
@@ -30,7 +31,10 @@ Euclid: one exact division by each p - t**b that divides num, and
 min(k, ord_t num) powers of t.  num itself is the sum of the per-den_pow
 buckets, each times every binomial but its own; ``_combined`` folds the
 buckets in Horner fashion, k(k+1)/2 binomial products for k den_pows in
-place of k**2.
+place of k**2.  Mod t**b - p all of num but bucket b vanishes, and bucket b
+reduces to sums of positive multiples of its coefficients, so p - t**b is
+tried only when bucket b has a negative coefficient or none but 0.  The
+evaluators emit c > 0 throughout, so their Z and H run no division.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, starmap, zip_longest
+from itertools import accumulate, zip_longest
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -153,29 +157,46 @@ def spf_eval(roots: Roots, ctx: PAdicContext) -> ZetaFunction:
     recursive call per residue class xi with multiplicity e >= 2, scaled by
     t**e / p, on the residues (x - xi) / p = x // p.  A single root is
     closed in one step as (1 - 1/p) / (1 - t**e / p); an empty root set
-    integrates a unit, giving 1.
+    integrates a unit, giving 1.  Each term is formed once, at its own
+    level, with the scale of the levels above it already applied (see
+    ``_spf_terms``).
     """
     roots = tuple((_fraction(r), int(e)) for r, e in roots)
     if len({(r.numerator, r.denominator) for r, _ in roots}) != len(roots):
         raise ValueError("roots must be pairwise distinct")
     k = _separation_depth(roots, ctx)
     xs = tuple((residue(r, ctx, k), e) for r, e in roots)
-    terms = _spf_terms(xs, ctx.p, depth=0, limit=k + 1)
-    return ZetaFunction(ctx=ctx, shift=0, terms=tuple(starmap(ZetaTerm, terms)))
+    terms: list[ZetaTerm] = []
+    _spf_terms(xs, ctx.p, 0, k + 1, 0, terms)
+    return ZetaFunction(ctx=ctx, shift=0, terms=tuple(terms))
 
 
 def _spf_terms(
-    xs: tuple[tuple[int, int], ...], p: int, depth: int, limit: int
-) -> list[tuple[int, int, int, int]]:
-    """Terms (c, j, t_pow, den_pow) in lowest terms, plain tuples as each level rebuilds them."""
+    xs: tuple[tuple[int, int], ...],
+    p: int,
+    depth: int,
+    limit: int,
+    t_pow: int,
+    out: list[ZetaTerm],
+) -> None:
+    """Append the terms of one level to out, in lowest terms, each formed once.
+
+    A level `depth` calls down sits under the scale t**t_pow / p**depth
+    that its ancestors' classes put on it, so its term c/p**j * t**a /
+    (1 - t**b/p) goes to out as (c, depth + j, t_pow + a, b).  The classes
+    are visited in ascending xi, depth first, so out holds the terms in the
+    order of the recursion.
+    """
     if depth > limit:
         raise RecursionDepthExceeded(
             f"recursion reached depth {depth} with depth bound {limit - 1}"
         )
     if not xs:
-        return [(1, 0, 0, 0)]
+        out.append(ZetaTerm(1, depth, t_pow, 0))
+        return
     if len(xs) == 1:
-        return [(p - 1, 1, 0, xs[0][1])]
+        out.append(ZetaTerm(p - 1, depth + 1, t_pow, xs[0][1]))
+        return
     buckets: dict[int, list[tuple[int, int]]] = {}
     for x, e in xs:
         rest, xi = divmod(x, p)
@@ -187,15 +208,13 @@ def _spf_terms(
             delta += 1
         else:
             groups.append((e_xi, tuple(buckets[xi])))
-    nu = p - len(buckets)
-    terms = [(nu, 1, 0, 0)] if nu else []
+    if nu := p - len(buckets):
+        out.append(ZetaTerm(nu, depth + 1, t_pow, 0))
     if delta:
         c, j = (p - 1, 1) if delta == p else (delta * (p - 1), 2)  # lowest terms
-        terms.append((c, j, 1, 1))
+        out.append(ZetaTerm(c, depth + j, t_pow + 1, 1))
     for e_xi, members in groups:
-        sub = _spf_terms(members, p, depth + 1, limit)
-        terms.extend((c, j + 1, a + e_xi, b) for c, j, a, b in sub)
-    return terms
+        _spf_terms(members, p, depth + 1, limit, t_pow + e_xi, out)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +260,8 @@ def _div_binomial(a: list[int], p: int, b: int) -> list[int] | None:
     return None if any(r[:b]) else q
 
 
-def _combined(z: ZetaFunction) -> tuple[list[int], int, int, list[int]]:
-    """Z = num / (scale * t**k * prod_b (p - t**b)), all in integers.
+def _combined(z: ZetaFunction) -> tuple[list[int], int, int, list[int], set[int]]:
+    """Z = num / (scale * t**k * prod_b (p - t**b)), all in integers, and the b to try.
 
     The coefficients are brought to their common scale p**max(j), each
     factor 1 - t**b/p is written (p - t**b)/p, and the terms are summed
@@ -254,6 +273,16 @@ def _combined(z: ZetaFunction) -> tuple[list[int], int, int, list[int]]:
     factor takes k**2.  The dense degree max(t_pow) + sum(b_i) + |shift|
     is checked once, before the pass over the terms: past
     _MAX_DENSE_DEGREE it raises CapExceeded, and no list is built.
+
+    The last item is the set of den_pows b whose p - t**b may divide num:
+    those whose bucket has a negative coefficient or none but 0.  Mod
+    t**b - p every other bucket vanishes, and the binomials of the other
+    den_pows and t are units (t**b - p is irreducible), so p - t**b divides
+    num exactly when it divides bucket b.  Bucket b reduces to
+    sum_i c_i p**(i // b) t**(i % b), whose coefficients are sums of
+    positive multiples of the c_i, so it is not zero when the c_i are all
+    >= 0 and not all 0.  The evaluators emit only c > 0, so for their Z the
+    set is empty.
     """
     p = z.ctx.p
     bs = sorted({t.den_pow for t in z.terms if t.den_pow})
@@ -271,6 +300,7 @@ def _combined(z: ZetaFunction) -> tuple[list[int], int, int, list[int]]:
         if len(bucket) <= term.t_pow:
             bucket.extend([0] * (term.t_pow + 1 - len(bucket)))
         bucket[term.t_pow] += c * p if term.den_pow else c
+    tried = {b for b in bs if min(buckets[b]) < 0 or not any(buckets[b])}
     num = buckets[0]
     for i, b in enumerate(bs):
         part = buckets[b]
@@ -278,8 +308,8 @@ def _combined(z: ZetaFunction) -> tuple[list[int], int, int, list[int]]:
             part = _mul_binomial(part, p, before)
         num = [x + y for x, y in zip_longest(_mul_binomial(num, p, b), part, fillvalue=0)]
     if z.shift >= 0:
-        return [0] * z.shift + num, scale, 0, bs
-    return num, scale, -z.shift, bs
+        return [0] * z.shift + num, scale, 0, bs, tried
+    return num, scale, -z.shift, bs, tried
 
 
 def _expand_den(scale: int, k: int, bs: list[int], p: int) -> list[int]:
@@ -290,22 +320,24 @@ def _expand_den(scale: int, k: int, bs: list[int], p: int) -> list[int]:
 
 
 def _canonical(
-    num: list[int], scale: int, k: int, bs: list[int], p: int
+    num: list[int], scale: int, k: int, bs: list[int], tried: set[int], p: int
 ) -> RationalFunctionT:
     """Canonical form of num / (scale * t**k * prod_b (p - t**b)).
 
     The denominator's factorisation over Q is known: t, and the distinct
     irreducible p - t**b (Eisenstein at p), each once.  The gcd with num
     is therefore the product of the factors that divide num, with t taken
-    min(k, ord_t num) times.  The denominator's lowest coefficient,
-    scale * p**m, is positive, so only the joint content is left to divide.
+    min(k, ord_t num) times.  Only the b in tried are trial-divided: the
+    others cannot divide num (see ``_combined``).  The denominator's lowest
+    coefficient, scale * p**m, is positive, so only the joint content is
+    left to divide.
     """
     num = _trimmed(num or [0])
     if num == [0]:
         return RationalFunctionT((0,), (1,))
     kept = []
     for b in bs:
-        quot = _div_binomial(num, p, b)
+        quot = _div_binomial(num, p, b) if b in tried else None
         if quot is None:
             kept.append(b)
         else:
@@ -323,8 +355,11 @@ def normalize(z: ZetaFunction) -> RationalFunctionT:
     A nonnegative shift multiplies the numerator by t**shift; a negative
     one multiplies the denominator by t**(-shift).  The arithmetic is in
     integers throughout, and the gcd comes from the known factors of the
-    denominator (see ``_canonical``), so no polynomial Euclid runs; the
-    result equals ``make_ratfunc`` of the same quotient bit for bit.
+    denominator (see ``_canonical``), so no polynomial Euclid runs; a
+    binomial p - t**b is trial-divided only when the terms of den_pow b sum
+    to a negative coefficient or to 0, so the evaluators' Z runs no
+    division.  The result
+    equals ``make_ratfunc`` of the same quotient bit for bit.
     """
     return _canonical(*_combined(z), z.ctx.p)
 
@@ -336,15 +371,18 @@ def poincare(z: ZetaFunction) -> RationalFunctionT:
     always divides 1 - t*Z exactly; this is checked, and a nonzero
     remainder raises InvariantViolation.  With Z = num/den uncancelled,
     H = ((den - t*num) / (1 - t)) / den, and den has the same known
-    factors as in ``normalize``, so the same cancellation applies.
+    factors as in ``normalize``, so the same cancellation applies.  Mod
+    t**b - p the numerator is -t*num/(1 - t), and t and 1 - t are units
+    there, so p - t**b divides it exactly when it divides num: the same
+    den_pows are tried.
     """
     p = z.ctx.p
-    num, scale, k, bs = _combined(z)
+    num, scale, k, bs, tried = _combined(z)
     den = _expand_den(scale, k, bs, p)
     quot = list(accumulate(x - y for x, y in zip_longest(den, [0, *num], fillvalue=0)))
     if quot.pop():
         raise InvariantViolation("poincare: total measure is not 1; upstream bug")
-    return _canonical(quot, scale, k, bs, p)
+    return _canonical(quot, scale, k, bs, tried, p)
 
 
 # ---------------------------------------------------------------------------

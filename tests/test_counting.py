@@ -34,9 +34,11 @@ from localzeta import (
     normalize,
     parse_poly,
     poincare,
+    reduce_to_integral_roots,
     rf_eval,
     rf_series,
     solution_counts,
+    spf_eval,
     vp,
     zeta_from_json,
     zeta_to_json,
@@ -45,6 +47,7 @@ from localzeta.counting import check_counts, poincare_counts, tree_counts
 from localzeta.polynomials import roots_mod
 from localzeta.zeta import _div_binomial
 from poincare_reference import dense_poincare_counts
+from spf_reference import spf_terms as reference_spf_terms
 
 F = Fraction
 
@@ -601,6 +604,44 @@ def test_poincare_counts_divide_a_leftover_that_is_no_binomial(monkeypatch):
     # numerator 1: H(3u) = 1/(3 (1 - u)) keeps a factor 1/3, so N_0 = 1/3
     with pytest.raises(NonIntegralCount, match="N_0 is not an integer"):
         poincare_counts(RationalFunctionT((1,), (3, -1)), 3, 5)
+
+
+def test_evaluator_normal_forms_try_no_binomial(monkeypatch):
+    # every term of an evaluator's Z has c > 0, so no p - t**b can divide the
+    # numerator of its Z or H, and the normal form tries none of them; the
+    # spf terms, each formed once at its own level, are the reference's
+    import localzeta.zeta as zeta
+
+    calls = []
+
+    def spy(a, p, b):
+        calls.append(b)
+        return _div_binomial(a, p, b)
+
+    monkeypatch.setattr(zeta, "_div_binomial", spy)
+    reached = {"integral": 0, "rational": 0, "tower": 0, "big p": 0}
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(route_cases(primes=(2, 3, 101, 10**12 + 39), max_u=0))
+    def check(case):
+        f, p, _, kind = case
+        ctx = PAdicContext(p)
+        for method in ("tree", "spf"):
+            z = compute_zeta(f, ctx, method=method)
+            normalize(z)
+            poincare(z)
+        assert calls == []
+        roots = reduce_to_integral_roots(f, ctx).fplus.roots
+        assert list(spf_eval(roots, ctx).terms) == reference_spf_terms(roots, ctx)
+        reached[kind] += 1
+        reached["big p"] += p > 10**6
+
+    check()
+    assert all(reached.values()), reached
+    # a bucket of zero coefficients is tried: here 3 - t cancels from Z = 1
+    z = ZetaFunction(PAdicContext(3), 0, (ZetaTerm(1, 0, 0, 0), ZetaTerm(0, 0, 0, 1)))
+    assert normalize(z) == RationalFunctionT((1,), (1,))
+    assert calls == [1]
 
 
 @st.composite

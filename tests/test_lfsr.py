@@ -62,6 +62,33 @@ def test_register_copy_does_not_prove_the_prime_again(monkeypatch):
     assert register.state == (1, 0, 0)
 
 
+def test_lfsr_command_proves_the_prime_once(monkeypatch, capsys):
+    calls = []
+    is_prime = localzeta.padic.is_prime
+    monkeypatch.setattr(localzeta.padic, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    p = 1000000000039
+    argv = ["lfsr", "--prime", str(p), "--taps", "1,2", "--init", "1,0", "--steps", "4"]
+    assert main(argv) == 0
+    assert calls == [p]
+    assert capsys.readouterr().out == f"output: 1 0 {p - 2} 2\n"
+    # the prime is proved before the register's lengths are checked, so an
+    # invalid prime is reported first, with an empty or a mismatched register
+    invalid = f"InvalidPrime: modulus must be prime, got {p - 2}"
+    cases = [
+        (p, ["--taps", "", "--init", ""], "register length must be >= 1"),
+        (p, ["--taps", "1,2", "--init", "1"], "state length must equal the register length"),
+        (p - 2, ["--taps", "", "--init", ""], invalid),
+        (p - 2, ["--taps", "1,2", "--init", "1"], invalid),
+    ]
+    for prime, register, message in cases:
+        calls.clear()
+        assert main(["lfsr", "--prime", str(prime), *register]) == 1
+        assert calls == [prime]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_from_rational_proves_the_prime_once(monkeypatch):
     calls = []
     is_prime = localzeta.padic.is_prime

@@ -312,8 +312,11 @@ def test_spf_eval_reads_integer_and_text_roots():
 
 
 def test_recursion_depth_guard():
+    # past the bound the level raises before it appends a term to the list
+    out = []
     with pytest.raises(RecursionDepthExceeded):
-        _spf_terms(((0, 2), (9, 1)), 3, depth=5, limit=4)
+        _spf_terms(((0, 2), (9, 1)), 3, depth=5, limit=4, t_pow=0, out=out)
+    assert out == []
 
 
 def test_spf_eval_checks_its_depth_bound(monkeypatch):
@@ -646,6 +649,16 @@ def cancelled_factors(z, rf):
 WIDE_DEN_POWS = parse_poly("(x-1)^5*(x-4)^6*(x-7)^3*(x-2)^2*(x-5)"), PAdicContext(3)
 # den_pow 1 alone: the den_pow-0 bucket that _combined starts from is empty
 NO_DEN_POW_ZERO = parse_poly("x^2 - x"), PAdicContext(2)
+# den_pow 4 is new to WIDE_DEN_POWS' Z, so only the added terms fill its bucket:
+# zero coefficients, or c t/(1 - t^4/3) - (c/3) t^5/(1 - t^4/3) - c t with
+# c = 2, whose bucket 2t (3 - t^4) has a negative coefficient; p - t^4
+# cancels from Z and H in both, and only a trial division finds it
+ZERO_BUCKET = (ZetaTerm(0, 0, 1, 4), ZetaTerm(0, 0, 3, 4))
+NEGATIVE_BUCKET = (ZetaTerm(2, 0, 1, 4), ZetaTerm(-2, 1, 5, 4), ZetaTerm(-2, 0, 1, 0))
+
+
+def with_terms(z, extra):
+    return replace(z, terms=z.terms + extra)
 
 
 def test_normal_form_matches_generic_fold():
@@ -657,6 +670,8 @@ def test_normal_form_matches_generic_fold():
     @example(compute_zeta(*WIDE_DEN_POWS, "spf"))
     @example(compute_zeta(*NO_DEN_POW_ZERO, "tree"))
     @example(compute_zeta(*NO_DEN_POW_ZERO, "spf"))
+    @example(with_terms(compute_zeta(*WIDE_DEN_POWS, "spf"), ZERO_BUCKET))
+    @example(with_terms(compute_zeta(*WIDE_DEN_POWS, "tree"), NEGATIVE_BUCKET))
     def check(z):
         rf = folded_normal_form(z)
         h = poincare(z)
