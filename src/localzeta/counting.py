@@ -42,7 +42,7 @@ from .errors import CapExceeded, LocalZetaError, NegativeShift, NonIntegralCount
 from .padic import PAdicContext
 from .polynomials import DensePoly, FactoredPoly, as_integer_poly, require_integral, roots_mod
 from .polynomials import _trimmed_mod
-from .ratfunc import RationalFunctionT, _trimmed, decimal  # decimal is re-exported
+from .ratfunc import RationalFunctionT, _trimmed
 from .zeta import ZetaFunction, _div_binomial, compute_zeta, poincare
 
 DEFAULT_CAP = 10**7

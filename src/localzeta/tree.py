@@ -52,7 +52,6 @@ class WeightedTree:
     ctx: PAdicContext
     l_f: int
     vertices: tuple[Vertex, ...]
-    root: int = 0
 
     @property
     def p(self) -> int:
@@ -129,7 +128,7 @@ def tree_to_json(tree: WeightedTree) -> dict:
     return {
         "p": str(tree.p),
         "l_f": tree.l_f,
-        "root": tree.root,
+        "root": 0,
         "vertices": [
             {
                 "id": v.id,

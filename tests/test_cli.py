@@ -26,7 +26,7 @@ from localzeta import (
     zeta_from_json,
 )
 from localzeta.cli import main
-from localzeta.counting import decimal
+from localzeta.ratfunc import decimal
 
 
 def run_cli(capsys, *argv):

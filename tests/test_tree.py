@@ -169,7 +169,7 @@ def test_tree_invariants():
         for root, mult in f.roots:
             xi = root.numerator * pow(root.denominator, -1, p) % p
             residues[xi] = residues.get(xi, 0) + mult
-        root_vertex = tree.vertices[tree.root]
+        root_vertex = tree.vertices[0]
         assert p - root_vertex.valence == p - len(residues)
         level1_light = sum(
             1 for i in levels(tree)[1] if tree.vertices[i].weight == 1

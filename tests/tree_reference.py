@@ -34,7 +34,7 @@ def term_coeff(term: ZetaTerm, p: int) -> Fraction:
 def minimal_weight_one_set(tree: WeightedTree) -> set[int]:
     """Weight-1 vertices with no weight-1 strict ancestor."""
     result: set[int] = set()
-    stack: list[tuple[int, bool]] = [(tree.root, False)]
+    stack: list[tuple[int, bool]] = [(0, False)]
     while stack:
         vid, seen_one = stack.pop()
         v = tree.vertices[vid]
