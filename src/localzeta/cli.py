@@ -173,16 +173,11 @@ def _cmd_verify(args: argparse.Namespace, ctx: PAdicContext) -> tuple[int, str]:
     """
     f = parse_poly(args.poly)
     factored = _factored(f)
-    memo: dict = {}
-
-    def once(make):  # make() on the first call and its value after; a raise is not kept
-        return lambda: memo[make] if make in memo else memo.setdefault(make, make())
-
-    z_tree = once(lambda: compute_zeta(factored, ctx, method="tree"))
-    rf_tree = once(lambda: normalize(z_tree()))
-    h = once(lambda: poincare(z_tree()))
+    z_tree = functools.cache(lambda: compute_zeta(factored, ctx, method="tree"))
+    rf_tree = functools.cache(lambda: normalize(z_tree()))
+    h = functools.cache(lambda: poincare(z_tree()))
     # N_0..N_(max_m+1) carry the same information as c_0..c_max_m
-    expanded = once(lambda: tree_counts(z_tree(), args.max_m + 1))
+    expanded = functools.cache(lambda: tree_counts(z_tree(), args.max_m + 1))
     lines: list[str] = []
 
     def check(name, run):

@@ -155,21 +155,16 @@ def lfsr_from_rational(g: CoeffPair, p: int) -> Lfsr:
     Requires deg(numerator) < deg(denominator) = r with a nonzero
     degree-r denominator coefficient mod p (otherwise the sequence is
     only eventually periodic and no length-r register realizes it).
-    A modulus that is no prime int raises InvalidPrime before any of these:
-    the register proves p, and a step that fails before it proves p first.
     """
-    try:
-        num = _trimmed([c % p for c in g[0]])
-        den = _trimmed([c % p for c in g[1]])
-        r = len(den) - 1
-        if r < 1:
-            raise DegreeViolation("denominator must have degree >= 1 mod p")
-        init = series_mod_p((num, den), p, r)  # rejects a zero constant term
-        if len(num) - 1 >= r and any(num):
-            raise DegreeViolation("numerator degree must be below denominator degree")
-        inv0 = pow(den[0], -1, p)
-        taps = [den[i] * inv0 % p for i in range(1, r + 1)]
-    except Exception:  # a modulus that is no prime may fail any step above
-        PAdicContext(p)
-        raise
-    return Lfsr(p, taps, init)
+    ctx = PAdicContext(p)  # InvalidPrime before any other error
+    num = _trimmed([c % p for c in g[0]])
+    den = _trimmed([c % p for c in g[1]])
+    r = len(den) - 1
+    if r < 1:
+        raise DegreeViolation("denominator must have degree >= 1 mod p")
+    init = series_mod_p((num, den), p, r)  # rejects a zero constant term
+    if len(num) - 1 >= r and any(num):
+        raise DegreeViolation("numerator degree must be below denominator degree")
+    inv0 = pow(den[0], -1, p)
+    taps = [den[i] * inv0 % p for i in range(1, r + 1)]
+    return Lfsr(ctx, taps, init)

@@ -149,17 +149,18 @@ def generating_function(tree: WeightedTree, shift: int = 0) -> ZetaFunction:
 
 
 def spf_eval(roots: Roots, ctx: PAdicContext) -> ZetaFunction:
-    """Independent recursive evaluator on a multiset of integral roots.
+    """Independent evaluator on a multiset of integral roots, by residue recursion.
 
     Each root is reduced once mod p**k, k = ``_separation_depth``; distinct
     roots stay distinct there.  Per level: a constant nu/p for the unit
     locus, one geometric term for the delta simple residues, and a
-    recursive call per residue class xi with multiplicity e >= 2, scaled by
+    sub-level per residue class xi with multiplicity e >= 2, scaled by
     t**e / p, on the residues (x - xi) / p = x // p.  A single root is
     closed in one step as (1 - 1/p) / (1 - t**e / p); an empty root set
     integrates a unit, giving 1.  Each term is formed once, at its own
-    level, with the scale of the levels above it already applied (see
-    ``_spf_terms``).
+    level, with the scale of the levels above it already applied; the
+    levels wait on an explicit stack, so a tower of any depth l_f runs
+    (see ``_spf_terms``).
     """
     roots = tuple((_fraction(r), int(e)) for r, e in roots)
     if len({(r.numerator, r.denominator) for r, _ in roots}) != len(roots):
@@ -179,42 +180,45 @@ def _spf_terms(
     t_pow: int,
     out: list[ZetaTerm],
 ) -> None:
-    """Append the terms of one level to out, in lowest terms, each formed once.
+    """Append the terms of level (xs, depth, t_pow) and below to out, each formed once.
 
-    A level `depth` calls down sits under the scale t**t_pow / p**depth
+    A level `depth` steps down sits under the scale t**t_pow / p**depth
     that its ancestors' classes put on it, so its term c/p**j * t**a /
-    (1 - t**b/p) goes to out as (c, depth + j, t_pow + a, b).  The classes
-    are visited in ascending xi, depth first, so out holds the terms in the
-    order of the recursion.
+    (1 - t**b/p) goes to out as (c, depth + j, t_pow + a, b), in lowest
+    terms.  The levels wait on an explicit stack, so `limit` is the only
+    depth limit: each appends its terms, then pushes its classes in
+    descending xi, which pop ascending, depth first, so out holds the terms
+    in the order of the recursion.
     """
-    if depth > limit:
-        raise RecursionDepthExceeded(
-            f"recursion reached depth {depth} with depth bound {limit - 1}"
-        )
-    if not xs:
-        out.append(ZetaTerm(1, depth, t_pow, 0))
-        return
-    if len(xs) == 1:
-        out.append(ZetaTerm(p - 1, depth + 1, t_pow, xs[0][1]))
-        return
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for x, e in xs:
-        rest, xi = divmod(x, p)
-        buckets.setdefault(xi, []).append((rest, e))
-    delta, groups = 0, []
-    for xi in sorted(buckets):
-        e_xi = sum(e for _, e in buckets[xi])
-        if e_xi == 1:
-            delta += 1
-        else:
-            groups.append((e_xi, tuple(buckets[xi])))
-    if nu := p - len(buckets):
-        out.append(ZetaTerm(nu, depth + 1, t_pow, 0))
-    if delta:
-        c, j = (p - 1, 1) if delta == p else (delta * (p - 1), 2)  # lowest terms
-        out.append(ZetaTerm(c, depth + j, t_pow + 1, 1))
-    for e_xi, members in groups:
-        _spf_terms(members, p, depth + 1, limit, t_pow + e_xi, out)
+    stack = [(xs, depth, t_pow)]
+    while stack:
+        xs, depth, t_pow = stack.pop()
+        if depth > limit:
+            raise RecursionDepthExceeded(
+                f"recursion reached depth {depth} with depth bound {limit - 1}"
+            )
+        if not xs:
+            out.append(ZetaTerm(1, depth, t_pow, 0))
+            continue
+        if len(xs) == 1:
+            out.append(ZetaTerm(p - 1, depth + 1, t_pow, xs[0][1]))
+            continue
+        buckets: dict[int, list[tuple[int, int]]] = {}
+        for x, e in xs:
+            rest, xi = divmod(x, p)
+            buckets.setdefault(xi, []).append((rest, e))
+        delta = 0
+        for xi in sorted(buckets, reverse=True):
+            e_xi = sum(e for _, e in buckets[xi])
+            if e_xi == 1:
+                delta += 1
+            else:
+                stack.append((tuple(buckets[xi]), depth + 1, t_pow + e_xi))
+        if nu := p - len(buckets):
+            out.append(ZetaTerm(nu, depth + 1, t_pow, 0))
+        if delta:
+            c, j = (p - 1, 1) if delta == p else (delta * (p - 1), 2)  # lowest terms
+            out.append(ZetaTerm(c, depth + j, t_pow + 1, 1))
 
 
 # ---------------------------------------------------------------------------

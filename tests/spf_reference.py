@@ -6,6 +6,11 @@ themselves, one modular inverse per root and level, with the same term
 order: nu, then delta, then each multiple-root class in ascending xi,
 depth first.  The coefficients are Fractions until ``spf_terms`` returns
 them as ZetaTerms.
+
+Unlike ``spf_eval``, which keeps its levels on an explicit stack, this
+reference recurses once per level, so it meets Python's recursion limit
+near 1000 levels.  The tower tests past that depth therefore compare the
+spf route with the tree route, not with this reference.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import json
 import os
@@ -413,6 +415,83 @@ def test_spf_agrees_with_the_tree_on_a_deep_tower():
         normalize(compute_zeta(f, ctx, method="tree")),
         normalize(compute_zeta(f, ctx, method="spf")),
     )
+
+
+def _tower_lines(capsys, argv, prefix):
+    """The lines that start with prefix in the output of a successful CLI call."""
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = [line for line in captured.out.splitlines() if line.startswith(prefix)]
+    assert lines
+    return lines
+
+
+@pytest.mark.parametrize("L", [1000, 3000])
+def test_routes_agree_on_towers_past_the_recursion_limit(capsys, L):
+    # A = 1 + 3^L separates from 1 only at level L + 1, deeper than Python's
+    # default recursion limit of 1000; the spf walk keeps its levels on a stack
+    argv = ["--prime", "3", "--poly", f"(x-1)^2*(x-{1 + 3**L})^3"]
+    for command, prefix in [("zeta", "Z = "), ("poincare", "H = ")]:
+        tree = _tower_lines(capsys, [command, *argv], prefix)
+        assert _tower_lines(capsys, [command, "--method", "spf", *argv], prefix) == tree
+    counts = _tower_lines(capsys, ["count", "--max-m", "50", *argv], "N_")
+    assert len(counts) == 51
+    assert _tower_lines(capsys, ["count", "--max-m", "50", "--method", "spf", *argv], "N_") == counts
+
+
+def test_verify_passes_on_a_tower_past_the_recursion_limit(capsys):
+    argv = ["verify", "--max-m", "5", "--prime", "3", "--poly", f"(x-1)^2*(x-{1 + 3**1000})^3"]
+    assert _tower_lines(capsys, argv, "all ") == ["all 6 checks passed"]
+
+
+def test_count_routes_agree_on_a_tower_past_the_digit_limit():
+    # 3^10000 has 4772 digits, past the CLI's 4300-digit limit, so only in process
+    ctx = PAdicContext(3)
+    f = FactoredPoly(F(1), ((F(1), 2), (F(1 + 3**10_000), 3)))
+    spf = solution_counts(f, ctx, 50, "spf")
+    assert spf == solution_counts(f, ctx, 50, "tree")
+    # below level L the two roots act as one of multiplicity 5: x = 1 mod 3^ceil(m/5)
+    assert spf == [3 ** (m - (m + 4) // 5) for m in range(51)]
+
+
+def test_spf_eval_needs_no_call_stack_for_its_levels():
+    # 3001 levels under a recursion limit 50 frames above the caller's depth:
+    # levels 0..L-1 hold both roots in one class of multiplicity 5, and level
+    # L splits them into the classes of 1 (xi = 0) and A (xi = 1)
+    L = 3000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        terms = spf_eval(((F(1), 2), (F(1 + 3**L), 3)), PAdicContext(3)).terms
+    finally:
+        sys.setrecursionlimit(limit)
+    assert list(terms) == [
+        *(ZetaTerm(2, d + 1, 5 * d, 0) for d in range(L)),
+        ZetaTerm(1, L + 1, 5 * L, 0),
+        *(ZetaTerm(2, L + 2, 5 * L + e, e) for e in (2, 3)),
+    ]
+
+
+def _callee(call):
+    """The name a call goes by: f for f(...), self.f(...) and cls.f(...), else None."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr if getattr(func.value, "id", None) in ("self", "cls") else None
+    return getattr(func, "id", None)
+
+
+def test_no_function_in_the_library_calls_itself():
+    calls = []
+    for path in sorted(Path(localzeta.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls += [
+                    f"{path.name}:{call.lineno} {node.name}"
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and _callee(call) == node.name
+                ]
+    assert calls == []
 
 
 def test_spf_does_not_compute_the_separation_depth(monkeypatch):
